@@ -5,223 +5,24 @@ rules on X ~ (1-p) N(0, sigma^2) + p N(0, sigma^2 + tau^2); asymptotic
 expansions on the verge of detectability; BFDR/Bonferroni/step-up
 procedures; reproducible Monte-Carlo verification; and preset convergence
 studies tying them together.
+
+The package exports every name that its modules list in their __all__.
 """
 
-from .errors import LevelError, ParameterError
-from .normal import (
-    Phi,
-    Phi_inv,
-    Phi_inv_upper,
-    Phi_tail,
-    TailApprox,
-    normal_tail_approx,
-    phi,
-)
-from .model import (
-    AsymptoticConstants,
-    DerivedParams,
-    ErrorRates,
-    Losses,
-    MixtureModel,
-    TestingSetting,
-    ThresholdSq,
-    derive,
-    error_rates,
-    oracle_threshold_sq,
-    oracle_threshold_sq_raw,
-    sample,
-    sample_with_means,
-    type1_asymptotic,
-    type1_exact,
-    type2_asymptotic,
-    type2_exact,
-)
-from .risk import (
-    OptimalityDiagnostics,
-    RiskBreakdown,
-    fixed_threshold_risk,
-    optimal_risk_asymptotic,
-    optimal_risk_exact,
-    optimality_diagnostics,
-    risk_ratio,
-)
-from .bfdr import (
-    BfdrDiagnostics,
-    BfdrLevel,
-    bfdr_identity_residual,
-    bfdr_of_threshold,
-    bfdr_optimality_diagnostics,
-    bfdr_threshold,
-    bfdr_threshold_asymptotic,
-    gw_threshold,
-    oracle_bfdr_asymptotic,
-    oracle_bfdr_asymptotic_finite,
-)
-from .procedures import (
-    ConfusionCounts,
-    RejectionResult,
-    bh_reject,
-    bonferroni_threshold,
-    bonferroni_threshold_asymptotic,
-    confusion,
-    fixed_threshold_reject,
-    pvalues,
-    replicate_threshold,
-    universal_threshold,
-)
-from .rules import (
-    BfdrRule,
-    BhRule,
-    BonferroniRule,
-    FixedThresholdRule,
-    GwRule,
-    LogVRule,
-    OracleRule,
-    ReplicateRule,
-    Rule,
-    UniversalRule,
-    apply_rule,
-    fill_rule,
-    is_fixed_threshold,
-    rule_from_config,
-    rule_to_config,
-    threshold_sq,
-)
-from .montecarlo import (
-    GapStudy,
-    McEstimate,
-    McReport,
-    bh_conditional_ev_bound,
-    bh_ev_constant,
-    default_workers,
-    mc_conditional_k,
-    mc_run,
-    threshold_gap_study,
-)
-from .experiments import (
-    CONVERGENCE_COLUMNS,
-    ConstantDelta,
-    ConvergenceRow,
-    DEFAULT_EXACT_GRID,
-    DEFAULT_MC_GRID,
-    DecayingDelta,
-    ExtremeSparsity,
-    McOptions,
-    PowerSparsity,
-    PRESET_NAMES,
-    Regime,
-    RegimePoint,
-    point_setting,
-    preset,
-    regime_verge,
-    run_convergence,
-)
+from . import bfdr, errors, experiments, model, montecarlo, normal, procedures, risk, rules
+from .errors import *  # noqa: F401,F403
+from .normal import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
+from .bfdr import *  # noqa: F401,F403
+from .procedures import *  # noqa: F401,F403
+from .rules import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ParameterError",
-    "LevelError",
-    # normal
-    "phi",
-    "Phi",
-    "Phi_tail",
-    "Phi_inv",
-    "Phi_inv_upper",
-    "TailApprox",
-    "normal_tail_approx",
-    # model
-    "MixtureModel",
-    "Losses",
-    "TestingSetting",
-    "DerivedParams",
-    "ErrorRates",
-    "AsymptoticConstants",
-    "ThresholdSq",
-    "derive",
-    "oracle_threshold_sq",
-    "oracle_threshold_sq_raw",
-    "error_rates",
-    "type1_exact",
-    "type2_exact",
-    "type1_asymptotic",
-    "type2_asymptotic",
-    "sample",
-    "sample_with_means",
-    # risk
-    "RiskBreakdown",
-    "OptimalityDiagnostics",
-    "fixed_threshold_risk",
-    "optimal_risk_exact",
-    "optimal_risk_asymptotic",
-    "risk_ratio",
-    "optimality_diagnostics",
-    # bfdr
-    "BfdrLevel",
-    "BfdrDiagnostics",
-    "bfdr_of_threshold",
-    "bfdr_threshold",
-    "gw_threshold",
-    "bfdr_threshold_asymptotic",
-    "oracle_bfdr_asymptotic",
-    "oracle_bfdr_asymptotic_finite",
-    "bfdr_optimality_diagnostics",
-    "bfdr_identity_residual",
-    # procedures
-    "RejectionResult",
-    "ConfusionCounts",
-    "pvalues",
-    "bh_reject",
-    "fixed_threshold_reject",
-    "bonferroni_threshold",
-    "bonferroni_threshold_asymptotic",
-    "universal_threshold",
-    "replicate_threshold",
-    "confusion",
-    # rules
-    "Rule",
-    "FixedThresholdRule",
-    "OracleRule",
-    "UniversalRule",
-    "ReplicateRule",
-    "BonferroniRule",
-    "BfdrRule",
-    "GwRule",
-    "LogVRule",
-    "BhRule",
-    "is_fixed_threshold",
-    "fill_rule",
-    "threshold_sq",
-    "apply_rule",
-    "rule_to_config",
-    "rule_from_config",
-    # montecarlo
-    "McEstimate",
-    "McReport",
-    "GapStudy",
-    "mc_run",
-    "mc_conditional_k",
-    "threshold_gap_study",
-    "bh_conditional_ev_bound",
-    "bh_ev_constant",
-    "default_workers",
-    # experiments
-    "PowerSparsity",
-    "ExtremeSparsity",
-    "ConstantDelta",
-    "DecayingDelta",
-    "RegimePoint",
-    "Regime",
-    "ConvergenceRow",
-    "McOptions",
-    "DEFAULT_EXACT_GRID",
-    "DEFAULT_MC_GRID",
-    "PRESET_NAMES",
-    "CONVERGENCE_COLUMNS",
-    "regime_verge",
-    "preset",
-    "point_setting",
-    "run_convergence",
-]
+__all__ = ["__version__"]
+for _module in (errors, normal, model, risk, bfdr, procedures, rules, montecarlo, experiments):
+    __all__ += _module.__all__
+del _module

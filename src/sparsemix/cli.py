@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +48,11 @@ from .model import Losses, MixtureModel, TestingSetting, ThresholdSq, oracle_thr
 from .montecarlo import mc_run
 from .procedures import replicate_threshold, universal_threshold, bonferroni_threshold
 from .risk import fixed_threshold_risk
-from .rules import BhRule, fill_rule, rule_from_config, rule_to_config
+from .rules import _BY_KIND, BhRule, fill_rule, rule_from_config, rule_to_config
 
-__all__ = ["main", "build_parser", "ExperimentConfig", "ConfigError"]
+__all__ = ["main", "build_parser", "ConfigError"]
 
-_RULE_KINDS = ("fixed", "oracle", "universal", "replicate", "bonferroni", "bfdr", "gw", "logv", "bh")
+_RULE_KINDS = tuple(_BY_KIND)
 _SIMULATE_COLUMNS = ("stat", "mean", "std_error", "reps")
 _RISK_COLUMNS = ("m", "p", "u", "delta0", "deltaA", "c_sq", "r1", "r2", "total")
 
@@ -139,59 +139,39 @@ def _reject_unknown(cfg: dict, allowed, prefix: str = "") -> None:
         raise ConfigError(f"{prefix}{extra[0]}", "unknown field")
 
 
-def _number(cfg: dict, key: str, prefix: str = "", default=None):
-    value = cfg.get(key, None)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{prefix}{key}", "must be a number")
-    return float(value)
-
-
-def _integer(cfg: dict, key: str, prefix: str = "", default=None):
-    value = cfg.get(key, None)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{prefix}{key}", "must be an integer")
-    return value
-
-
-def _string(cfg: dict, key: str, prefix: str = "", default=None):
-    value = cfg.get(key, None)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise ConfigError(f"{prefix}{key}", "must be a string")
-    return value
-
-
-def _object(cfg: dict, key: str, prefix: str = "") -> dict:
-    value = cfg.get(key, None)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{prefix}{key}", "must be an object")
-    return dict(value)
-
-
-_SETTING_KEYS = ("p", "u", "tau_sq", "sigma_sq", "delta", "delta0", "deltaA", "m")
-_SETTING_FLAGS = {
-    "p": "p",
-    "u": "u",
-    "tau_sq": "tau_sq",
-    "sigma_sq": "sigma_sq",
-    "delta": "delta",
-    "delta0": "delta0",
-    "deltaA": "deltaA",
-    "m": "m",
+# What a field of each type must be (bool is never a number), and its name.
+_FIELD_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
 }
 
 
-def _overlay_flags(cfg: dict, args, mapping: dict[str, str]) -> dict:
+def _field(cfg: dict, key: str, kind: type, prefix: str = "", default=None):
+    """cfg[key] checked to be of the given kind; absent or null gives default."""
+    accepted, noun = _FIELD_TYPES[kind]
+    value = cfg.get(key, None)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{prefix}{key}", f"must be {noun}")
+    return kind(value)
+
+
+def _flag_or_field(args, cfg: dict, key: str, kind: type, default=None):
+    """The --key flag if given, else the config's top-level field."""
+    value = getattr(args, key)
+    return value if value is not None else _field(cfg, key, kind, default=default)
+
+
+_SETTING_KEYS = ("p", "u", "tau_sq", "sigma_sq", "delta", "delta0", "deltaA", "m")
+
+
+def _overlay_flags(cfg: dict, args, keys) -> dict:
     merged = dict(cfg)
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
+    for key in keys:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
@@ -199,21 +179,21 @@ def _overlay_flags(cfg: dict, args, mapping: dict[str, str]) -> dict:
 
 def _build_setting(src: dict, prefix: str = "setting.") -> TestingSetting:
     _reject_unknown(src, _SETTING_KEYS, prefix)
-    p = _number(src, "p", prefix)
+    p = _field(src, "p", float, prefix)
     if p is None:
         raise ConfigError(prefix + "p", "required")
-    sigma_sq = _number(src, "sigma_sq", prefix, default=1.0)
-    tau_sq = _number(src, "tau_sq", prefix)
-    u = _number(src, "u", prefix)
+    sigma_sq = _field(src, "sigma_sq", float, prefix, default=1.0)
+    tau_sq = _field(src, "tau_sq", float, prefix)
+    u = _field(src, "u", float, prefix)
     if tau_sq is None:
         if u is None:
             raise ConfigError(prefix + "u", "required (or tau_sq)")
         tau_sq = u * sigma_sq
     elif u is not None:
         raise ConfigError(prefix + "u", "give either u or tau_sq, not both")
-    delta = _number(src, "delta", prefix)
-    delta0 = _number(src, "delta0", prefix)
-    delta_a = _number(src, "deltaA", prefix)
+    delta = _field(src, "delta", float, prefix)
+    delta0 = _field(src, "delta0", float, prefix)
+    delta_a = _field(src, "deltaA", float, prefix)
     if delta is not None and (delta0 is not None or delta_a is not None):
         raise ConfigError(prefix + "delta", "give either delta or delta0/deltaA, not both")
     if delta is None:
@@ -221,7 +201,7 @@ def _build_setting(src: dict, prefix: str = "setting.") -> TestingSetting:
         delta_a = 1.0 if delta_a is None else delta_a
     else:
         delta0, delta_a = delta, 1.0
-    m = _number(src, "m", prefix, default=1.0)
+    m = _field(src, "m", float, prefix, default=1.0)
     return TestingSetting(
         model=MixtureModel(p=p, sigma_sq=sigma_sq, tau_sq=tau_sq),
         losses=Losses(delta0=delta0, deltaA=delta_a),
@@ -240,57 +220,56 @@ def _setting_echo(setting: TestingSetting) -> dict:
     }
 
 
-_RULE_FLAG_KEYS = {"alpha": "alpha", "c_sq": "c_sq", "d": "d", "n": "n"}
+_RULE_FLAG_KEYS = ("alpha", "c_sq", "d", "n")
 
 
-def _build_rule(src: dict, args, prefix: str = "rule."):
-    """Rule from a config object and/or flags; flags override fields."""
+def _build_rule(src: dict, args, base=None, prefix: str = "rule."):
+    """Rule from a config object and/or flags; flags override fields.
+
+    With no kind from either, the flags go on top of base (a preset's rule);
+    without a base there is no rule and the result is None.
+    """
     merged = dict(src)
-    if getattr(args, "rule", None) is not None:
+    if args.rule is not None:
         merged["kind"] = args.rule
     if "kind" not in merged:
-        return None
+        if base is None:
+            return None
+        merged = rule_to_config(base)
     if not isinstance(merged.get("kind"), str):
         raise ConfigError(prefix + "kind", "must be a string")
-    merged = _overlay_flags(merged, args, _RULE_FLAG_KEYS)
-    return rule_from_config(merged)
-
-
-def _overlay_rule(rule, args):
-    """Apply --alpha/--c-sq/--d/--n on top of an already-built rule."""
-    merged = _overlay_flags(rule_to_config(rule), args, _RULE_FLAG_KEYS)
-    return rule_from_config(merged)
+    return rule_from_config(_overlay_flags(merged, args, _RULE_FLAG_KEYS))
 
 
 def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
     _reject_unknown(src, ("beta", "sparsity", "delta", "alpha", "n", "grid", "name"), prefix)
-    beta = _number(src, "beta", prefix)
+    beta = _field(src, "beta", float, prefix)
     if beta is None:
         raise ConfigError(prefix + "beta", "required")
-    sp = _object(src, "sparsity", prefix)
-    family = _string(sp, "family", prefix + "sparsity.")
+    sp = _field(src, "sparsity", dict, prefix, default={})
+    family = _field(sp, "family", str, prefix + "sparsity.")
     if family == "power":
         _reject_unknown(sp, ("family", "kappa", "a"), prefix + "sparsity.")
-        kappa = _number(sp, "kappa", prefix + "sparsity.")
+        kappa = _field(sp, "kappa", float, prefix + "sparsity.")
         if kappa is None:
             raise ConfigError(prefix + "sparsity.kappa", "required")
-        sparsity = PowerSparsity(kappa=kappa, a=_number(sp, "a", prefix + "sparsity.", 1.0))
+        sparsity = PowerSparsity(kappa=kappa, a=_field(sp, "a", float, prefix + "sparsity.", 1.0))
     elif family == "extreme":
         _reject_unknown(sp, ("family", "s", "log_exponent"), prefix + "sparsity.")
         sparsity = ExtremeSparsity(
-            s=_number(sp, "s", prefix + "sparsity.", 1.0),
-            log_exponent=_number(sp, "log_exponent", prefix + "sparsity.", 0.0),
+            s=_field(sp, "s", float, prefix + "sparsity.", 1.0),
+            log_exponent=_field(sp, "log_exponent", float, prefix + "sparsity.", 0.0),
         )
     else:
         raise ConfigError(prefix + "sparsity.family", "must be 'power' or 'extreme'")
-    dl = _object(src, "delta", prefix)
-    dfamily = _string(dl, "family", prefix + "delta.", "constant")
+    dl = _field(src, "delta", dict, prefix, default={})
+    dfamily = _field(dl, "family", str, prefix + "delta.", "constant")
     if dfamily == "constant":
         _reject_unknown(dl, ("family", "value"), prefix + "delta.")
-        delta_rule = ConstantDelta(value=_number(dl, "value", prefix + "delta.", 1.0))
+        delta_rule = ConstantDelta(value=_field(dl, "value", float, prefix + "delta.", 1.0))
     elif dfamily == "decaying":
         _reject_unknown(dl, ("family", "g"), prefix + "delta.")
-        delta_rule = DecayingDelta(g=_number(dl, "g", prefix + "delta.", 1.0))
+        delta_rule = DecayingDelta(g=_field(dl, "g", float, prefix + "delta.", 1.0))
     else:
         raise ConfigError(prefix + "delta.family", "must be 'constant' or 'decaying'")
     grid = src.get("grid")
@@ -304,57 +283,43 @@ def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
         beta,
         sparsity,
         delta_rule,
-        alpha_rule=_number(src, "alpha", prefix),
-        n_rule=_number(src, "n", prefix),
+        alpha_rule=_field(src, "alpha", float, prefix),
+        n_rule=_field(src, "n", float, prefix),
         t_grid=grid,
-        name=_string(src, "name", prefix, "config_regime"),
+        name=_field(src, "name", str, prefix, "config_regime"),
     )
 
 
-class ExperimentConfig:
-    """Resolved inputs of a table-emitting command: what to run, how, where.
+def _preset_and_rule(cfg: dict, args, echo: dict):
+    """The named preset's regime, and its rule under the config's and the
+    flags' rule; (None, None) when no preset is named."""
+    name = _flag_or_field(args, cfg, "preset", str)
+    overrides = _field(cfg, "overrides", dict, default={})
+    if name is None:
+        return None, None
+    regime, rule = preset(name, **overrides)
+    echo["preset"] = name
+    if overrides:
+        echo["overrides"] = overrides
+    return regime, _build_rule(_field(cfg, "rule", dict, default={}), args, base=rule)
 
-    Built from a JSON document and/or flags (flags win field by field), and
-    validated against the same admissibility rules the library enforces.
-    echo is the JSON-serializable effective configuration that goes into the
-    sidecar — sufficient to reproduce the CSV.
-    """
 
-    def __init__(self, *, setting=None, regime=None, rule=None, mode=None,
-                 mc=None, out=None, echo=None):
-        self.setting = setting
-        self.regime = regime
-        self.rule = rule
-        self.mode = mode
-        self.mc = mc if mc is not None else McOptions()
-        self.out = out
-        self.echo = echo if echo is not None else {}
+def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOptions, str | None]:
+    """Replicates, seed and workers, and the output path; all echoed."""
+    reps = _flag_or_field(args, cfg, "reps", int, default=default_reps)
+    seed = _flag_or_field(args, cfg, "seed", int, default=0)
+    workers = _flag_or_field(args, cfg, "workers", int)
+    out = _flag_or_field(args, cfg, "out", str)
+    echo.update(reps=reps, seed=seed)
+    if workers is not None:
+        echo["workers"] = workers
+    if out is not None:
+        echo["out"] = out
+    return McOptions(reps=reps, seed=seed, workers=workers), out
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
-
-
-def _threshold_model(args, par) -> MixtureModel:
-    if args.p is None:
-        par.error("--p is required for this rule")
-    sigma_sq = 1.0 if args.sigma_sq is None else args.sigma_sq
-    if args.tau_sq is not None:
-        tau_sq = args.tau_sq
-    elif args.u is not None:
-        tau_sq = args.u * sigma_sq
-    else:
-        par.error("--u or --tau-sq is required for this rule")
-    return MixtureModel(p=args.p, sigma_sq=sigma_sq, tau_sq=tau_sq)
-
-
-def _threshold_losses(args) -> Losses:
-    if args.delta0 is not None or args.deltaA is not None:
-        return Losses(
-            delta0=1.0 if args.delta0 is None else args.delta0,
-            deltaA=1.0 if args.deltaA is None else args.deltaA,
-        )
-    return Losses(delta0=1.0 if args.delta is None else args.delta, deltaA=1.0)
 
 
 def cmd_threshold(args) -> int:
@@ -365,11 +330,14 @@ def cmd_threshold(args) -> int:
         par.error("select at least one rule "
                   "(--oracle/--bfdr/--gw/--bonferroni/--universal/--replicate)")
     echo = []
-    for attr in ("p", "u", "tau_sq", "sigma_sq", "delta", "delta0", "deltaA", "m", "alpha", "n", "d"):
+    for attr in (*_SETTING_KEYS, "alpha", "n", "d"):
         value = getattr(args, attr)
         if value is not None:
             echo.append(f"{attr}={_show(value)}")
     print(" ".join(echo) if echo else "(defaults)")
+    # Only the mixture-based rules need a setting; the others need only m.
+    if {"oracle", "bfdr", "gw"}.intersection(selected):
+        setting = _build_setting(_overlay_flags({}, args, _SETTING_KEYS))
     m = 1.0 if args.m is None else args.m
     d = 0.0 if args.d is None else args.d
 
@@ -381,15 +349,13 @@ def cmd_threshold(args) -> int:
     results = []
     for name in selected:
         if name == "oracle":
-            c_sq = oracle_threshold_sq_raw(_threshold_model(args, par), _threshold_losses(args))
+            c_sq = oracle_threshold_sq_raw(setting.model, setting.losses)
         elif name == "bfdr":
-            c_sq = bfdr_threshold(_threshold_model(args, par), need_alpha())
+            c_sq = bfdr_threshold(setting.model, need_alpha())
         elif name == "gw":
-            c_sq = gw_threshold(_threshold_model(args, par), need_alpha())
+            c_sq = gw_threshold(setting.model, need_alpha())
         elif name == "bonferroni":
-            if args.alpha is None:
-                par.error("--alpha is required for this rule")
-            c_sq = bonferroni_threshold(m, args.alpha)
+            c_sq = bonferroni_threshold(m, need_alpha().alpha)
         elif name == "universal":
             c_sq = universal_threshold(m, d)
         else:
@@ -405,9 +371,9 @@ def cmd_threshold(args) -> int:
 def cmd_risk(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _reject_unknown(cfg, ("setting", "c_sq", "out"))
-    setting_cfg = _overlay_flags(_object(cfg, "setting"), args, _SETTING_FLAGS)
+    setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
     setting = _build_setting(setting_cfg)
-    c_sq_value = args.c_sq if args.c_sq is not None else _number(cfg, "c_sq")
+    c_sq_value = _flag_or_field(args, cfg, "c_sq", float)
     if c_sq_value is None:
         c_sq = oracle_threshold_sq_raw(setting.model, setting.losses)
     else:
@@ -415,7 +381,7 @@ def cmd_risk(args) -> int:
     breakdown = fixed_threshold_risk(setting, c_sq)
     print(f"c_sq={_show(float(c_sq))} z={_show(c_sq.z)}")
     print(f"r1={_show(breakdown.r1)} r2={_show(breakdown.r2)} total={_show(breakdown.total)}")
-    out = args.out if args.out is not None else _string(cfg, "out")
+    out = _flag_or_field(args, cfg, "out", str)
     if out is not None:
         row = (
             setting.m,
@@ -433,137 +399,73 @@ def cmd_risk(args) -> int:
     return 0
 
 
-def _simulate_config(args) -> ExperimentConfig:
+def cmd_simulate(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _reject_unknown(cfg, ("preset", "overrides", "setting", "rule", "m",
                           "reps", "seed", "workers", "out"))
-    preset_name = args.preset if args.preset is not None else _string(cfg, "preset")
-    overrides = _object(cfg, "overrides")
-    m = args.m if args.m is not None else _number(cfg, "m")
     echo: dict = {}
-    if preset_name is not None:
+    regime, rule = _preset_and_rule(cfg, args, echo)
+    m = _flag_or_field(args, cfg, "m", float)
+    if regime is not None:
         if m is None:
             raise ConfigError("m", "required with a preset")
-        regime, rule = preset(preset_name, **overrides)
         point = regime.generator(m)
         setting = point_setting(point)
-        flag_rule = _build_rule(_object(cfg, "rule"), args)
-        rule = flag_rule if flag_rule is not None else _overlay_rule(rule, args)
         rule = fill_rule(rule, alpha=point.alpha, n=point.n)
-        echo["preset"] = preset_name
-        if overrides:
-            echo["overrides"] = overrides
     else:
-        setting_cfg = _overlay_flags(_object(cfg, "setting"), args, _SETTING_FLAGS)
+        setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
         if m is not None:
             setting_cfg["m"] = m
         setting = _build_setting(setting_cfg)
-        rule = _build_rule(_object(cfg, "rule"), args)
+        rule = _build_rule(_field(cfg, "rule", dict, default={}), args)
         if rule is None:
             raise ConfigError("rule.kind", "required without a preset")
-    reps = args.reps if args.reps is not None else _integer(cfg, "reps", default=1000)
-    seed = args.seed if args.seed is not None else _integer(cfg, "seed", default=0)
-    workers = args.workers if args.workers is not None else _integer(cfg, "workers")
-    out = args.out if args.out is not None else _string(cfg, "out")
-    echo.update({
-        "setting": _setting_echo(setting),
-        "rule": rule_to_config(rule),
-        "reps": reps,
-        "seed": seed,
-    })
-    if workers is not None:
-        echo["workers"] = workers
-    if out is not None:
-        echo["out"] = out
-    return ExperimentConfig(
-        setting=setting,
-        rule=rule,
-        mode="mc",
-        mc=McOptions(reps=reps, seed=seed, workers=workers),
-        out=out,
-        echo=echo,
-    )
-
-
-def cmd_simulate(args) -> int:
-    config = _simulate_config(args)
-    opts = config.mc
-    report = mc_run(config.setting, config.rule, opts.reps, opts.seed, workers=opts.workers)
-    rows = [
-        ("risk", report.risk.mean, report.risk.std_error, report.risk.reps),
-        ("fdr", report.fdr.mean, report.fdr.std_error, report.fdr.reps),
-        ("fwer", report.fwer.mean, report.fwer.std_error, report.fwer.reps),
-        ("ev", report.ev.mean, report.ev.std_error, report.ev.reps),
-        ("power", report.power.mean, report.power.std_error, report.power.reps),
-    ]
-    if report.threshold_gap is not None:
-        gap = report.threshold_gap
-        rows.append(("threshold_gap", gap.mean, gap.std_error, gap.reps))
-    _emit(config.out, "simulate", _SIMULATE_COLUMNS, rows, config.echo, seed=opts.seed)
+    mc, out = _run_options(cfg, args, 1000, echo)
+    echo.update(setting=_setting_echo(setting), rule=rule_to_config(rule))
+    report = mc_run(setting, rule, mc.reps, mc.seed, workers=mc.workers)
+    rows = []
+    for stat in fields(report):
+        estimate = getattr(report, stat.name)
+        if estimate is not None:
+            rows.append((stat.name, estimate.mean, estimate.std_error, estimate.reps))
+    _emit(out, "simulate", _SIMULATE_COLUMNS, rows, echo, seed=mc.seed)
     return 0
 
 
-def _convergence_config(args) -> ExperimentConfig:
+def cmd_convergence(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _reject_unknown(cfg, ("preset", "overrides", "regime", "rule", "mode",
                           "grid", "reps", "seed", "workers", "out"))
-    preset_name = args.preset if args.preset is not None else _string(cfg, "preset")
-    overrides = _object(cfg, "overrides")
     echo: dict = {}
-    if preset_name is not None:
-        regime, rule = preset(preset_name, **overrides)
-        echo["preset"] = preset_name
-        if overrides:
-            echo["overrides"] = overrides
-        flag_rule = _build_rule(_object(cfg, "rule"), args)
-        rule = flag_rule if flag_rule is not None else _overlay_rule(rule, args)
-    elif "regime" in cfg:
-        regime = _build_regime_from_config(_object(cfg, "regime"))
-        rule = _build_rule(_object(cfg, "rule"), args)
+    regime, rule = _preset_and_rule(cfg, args, echo)
+    if regime is None:
+        if "regime" not in cfg:
+            raise ConfigError("preset", "required (or a 'regime' object in the config)")
+        regime = _build_regime_from_config(_field(cfg, "regime", dict, default={}))
+        rule = _build_rule(_field(cfg, "rule", dict, default={}), args)
         if rule is None:
             raise ConfigError("rule.kind", "required with a config regime")
         echo["regime"] = cfg["regime"]
-    else:
-        raise ConfigError("preset", "required (or a 'regime' object in the config)")
     grid = args.grid if args.grid is not None else cfg.get("grid")
     if grid is not None:
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("grid", "must be a nonempty array of numbers")
         regime = replace(regime, t_grid=tuple(float(g) for g in grid))
         echo["grid"] = [float(g) for g in grid]
-    mode = args.mode if args.mode is not None else _string(cfg, "mode")
+    mode = _flag_or_field(args, cfg, "mode", str)
     if mode is None:
         mode = "mc" if isinstance(rule, BhRule) else "exact"
-    reps = args.reps if args.reps is not None else _integer(cfg, "reps", default=400)
-    seed = args.seed if args.seed is not None else _integer(cfg, "seed", default=0)
-    workers = args.workers if args.workers is not None else _integer(cfg, "workers")
-    out = args.out if args.out is not None else _string(cfg, "out")
-    echo.update({"rule": rule_to_config(rule), "mode": mode, "seed": seed, "reps": reps})
-    if workers is not None:
-        echo["workers"] = workers
-    if out is not None:
-        echo["out"] = out
-    return ExperimentConfig(
-        regime=regime,
-        rule=rule,
-        mode=mode,
-        mc=McOptions(reps=reps, seed=seed, workers=workers),
-        out=out,
-        echo=echo,
-    )
-
-
-def cmd_convergence(args) -> int:
-    config = _convergence_config(args)
-    rows = run_convergence(config.regime, config.rule, config.mode, config.mc)
+    mc, out = _run_options(cfg, args, 400, echo)
+    echo.update(rule=rule_to_config(rule), mode=mode)
+    rows = run_convergence(regime, rule, mode, mc)
     table = [[getattr(row, col) for col in CONVERGENCE_COLUMNS] for row in rows]
     _emit(
-        config.out,
+        out,
         "convergence",
         CONVERGENCE_COLUMNS,
         table,
-        config.echo,
-        seed=config.mc.seed if config.mode == "mc" else None,
+        echo,
+        seed=mc.seed if mode == "mc" else None,
     )
     return 0
 
@@ -669,10 +571,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ log-rate convergence would be invisible on anything narrower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,9 +76,6 @@ __all__ = [
 
 DEFAULT_EXACT_GRID: tuple[float, ...] = tuple(10.0**k for k in range(2, 17))
 DEFAULT_MC_GRID: tuple[float, ...] = (1e3, 1e4, 1e5, 1e6)
-
-_P_FLOOR = 1e-300
-_P_CAP = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ class RegimePoint:
     quantity whose declared limit is consts.C.
     """
 
-    t: float
     m: float
     p: float
     u: float
@@ -244,13 +240,14 @@ def regime_verge(
         m = float(t)
         if not (np.isfinite(m) and m > 1.0):
             raise ParameterError("regime points need m > 1")
-        p = min(max(sparsity.p(m), _P_FLOOR), _P_CAP)
+        p = sparsity.p(m)
+        if not 0.0 < p < 1.0:
+            raise ParameterError(f"sparsity gives p = {p!r} at m = {m!r}, outside (0, 1)")
         u = beta * math.log(m)
         delta = delta_rule.delta(m)
         f = (1.0 - p) / p
         derived = DerivedParams(u=u, f=f, delta=delta, v=u * f * f * delta * delta)
         return RegimePoint(
-            t=m,
             m=m,
             p=p,
             u=u,
@@ -429,7 +426,6 @@ class ConvergenceRow:
     undefined for the rule or regime at hand (e.g. z_t for the data-dependent
     step-up threshold, or bfdr diagnostics without a level)."""
 
-    t: float
     m: float
     p: float
     u: float
@@ -450,26 +446,7 @@ class ConvergenceRow:
     risk_se: float
 
 
-CONVERGENCE_COLUMNS: tuple[str, ...] = (
-    "m",
-    "p",
-    "u",
-    "v",
-    "c_sq",
-    "risk",
-    "risk_opt",
-    "ratio",
-    "z_t",
-    "crit2",
-    "ratio1",
-    "s_t",
-    "cond_w2",
-    "t_uvd",
-    "etr",
-    "efr",
-    "bo_bh_gap",
-    "risk_se",
-)
+CONVERGENCE_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ConvergenceRow))
 
 
 def _bfdr_diag(point: RegimePoint):
@@ -549,7 +526,6 @@ def run_convergence(
         s_t, cond_w2, t_uvd = _bfdr_diag(point)
         rows.append(
             ConvergenceRow(
-                t=point.t,
                 m=point.m,
                 p=point.p,
                 u=point.u,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError
-from .normal import Phi_tail
+from .normal import Phi_tail, _like
 
 __all__ = [
     "ThresholdSq",
@@ -284,12 +284,6 @@ def _checked_c_sq(c_sq) -> np.ndarray:
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise ParameterError("c_sq must be >= 0")
     return arr
-
-
-def _like(value: np.ndarray, template):
-    if np.isscalar(template) or np.ndim(template) == 0:
-        return float(value)
-    return value
 
 
 def type1_exact(c_sq) -> float:

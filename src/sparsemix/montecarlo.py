@@ -21,13 +21,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bfdr import BfdrLevel, gw_threshold
 from .errors import ParameterError
 from .model import TestingSetting, sample
-from .procedures import bh_reject, bonferroni_threshold, confusion, pvalues
+from .procedures import bonferroni_threshold, confusion
 from .rules import (
     BhRule,
     FixedThresholdRule,
@@ -138,8 +139,13 @@ def _gap_reference(setting: TestingSetting, rule: Rule) -> float | None:
     return None
 
 
-def _run_stream(setting: TestingSetting, rule: Rule, reps: int, seed, workers, draw):
-    """Shared replicate loop; `draw(rng)` yields (truth, x) for one replicate."""
+def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, draw) -> dict:
+    """Shared replicate loop; `draw(rng)` yields (truth, x) for one replicate.
+
+    Returns the per-replicate statistics under their McReport field names,
+    each an array in index order; "threshold_gap" is present only for the
+    step-up rule with a level.
+    """
     reps = _check_reps(reps)
     m = setting.int_m()
     losses = setting.losses
@@ -173,24 +179,20 @@ def _run_stream(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
                 gaps[i] = abs(bh_z - gw_z)
 
     _parallel_fill(fill, reps, workers)
-    return McReport(
-        risk=McEstimate.from_samples(loss),
-        fdr=McEstimate.from_samples(fdp),
-        fwer=McEstimate.from_samples(any_false),
-        ev=McEstimate.from_samples(v_count),
-        power=McEstimate.from_samples(tdp),
-        threshold_gap=McEstimate.from_samples(gaps) if gaps is not None else None,
-    )
+    stats = {"risk": loss, "fdr": fdp, "fwer": any_false, "ev": v_count, "power": tdp}
+    if gaps is not None:
+        stats["threshold_gap"] = gaps
+    return stats
+
+
+def _report(stats: dict) -> McReport:
+    return McReport(**{name: McEstimate.from_samples(values) for name, values in stats.items()})
 
 
 def mc_run(setting: TestingSetting, rule: Rule, reps, seed, workers: int | None = None) -> McReport:
     """Estimate risk, FDR, FWER, E(V) and the true-discovery proportion of a
     rule by simulation from the mixture."""
-
-    def draw(rng):
-        return sample(setting, rng)
-
-    return _run_stream(setting, rule, reps, seed, workers, draw)
+    return _report(_replicates(setting, rule, reps, seed, workers, partial(sample, setting)))
 
 
 def mc_conditional_k(
@@ -217,7 +219,7 @@ def mc_conditional_k(
         x = rng.standard_normal(m) * np.where(truth, alt_scale, model.sigma)
         return truth, x
 
-    return _run_stream(setting, rule, reps, seed, workers, draw)
+    return _report(_replicates(setting, rule, reps, seed, workers, draw))
 
 
 def threshold_gap_study(
@@ -232,25 +234,13 @@ def threshold_gap_study(
     c_GW at the same level: mean/median gap and P(gap > epsilon).
 
     epsilon = +inf is an allowed marker and forces exceed_frac = 0.
+    It draws the same replicates as mc_run with BhRule(alpha).
     """
     reps = _check_reps(reps)
     if not (epsilon > 0.0) or math.isnan(epsilon):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
-    m = setting.int_m()
-    model = setting.model
-    gw_z = math.sqrt(float(gw_threshold(model, BfdrLevel(alpha))))
-    bon_z = math.sqrt(float(bonferroni_threshold(m, alpha)))
-    gaps = np.empty(reps)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = _replicate_rng(seed, i)
-            _, x = sample(setting, rng)
-            result = bh_reject(pvalues(x, model.sigma), alpha)
-            bh_z = min(bon_z, math.sqrt(float(result.realized_threshold_sq)))
-            gaps[i] = abs(bh_z - gw_z)
-
-    _parallel_fill(fill, reps, workers)
+    rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
+    gaps = _replicates(setting, rule, reps, seed, workers, partial(sample, setting))["threshold_gap"]
     return GapStudy(
         gap=McEstimate.from_samples(gaps),
         exceed_frac=float(np.mean(gaps > epsilon)),

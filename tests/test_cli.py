@@ -21,10 +21,17 @@ import pytest
 import sparsemix
 from sparsemix import (
     CONVERGENCE_COLUMNS,
+    BfdrRule,
+    BonferroniRule,
+    GwRule,
     Losses,
     MixtureModel,
+    ReplicateRule,
+    TestingSetting,
+    UniversalRule,
     bonferroni_threshold,
     oracle_threshold_sq_raw,
+    threshold_sq,
 )
 from sparsemix.cli import main
 
@@ -98,6 +105,62 @@ def test_threshold_bfdr_needs_alpha():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--bfdr", "--p", "0.1", "--u", "3"])
     assert exc.value.code == 2
+
+
+THRESHOLD_CASES = [
+    (
+        ["--p", "0.01", "--u", "16", "--delta", "2", "--m", "10000",
+         "--alpha", "0.05", "--n", "8", "--d", "0.5"],
+        TestingSetting(MixtureModel(0.01, 1.0, 16.0), Losses(2.0, 1.0), 10000.0), 0.05, 8.0, 0.5,
+    ),
+    (
+        ["--p", "0.2", "--u", "3", "--sigma-sq", "2", "--delta0", "3", "--deltaA", "0.5",
+         "--m", "37.5", "--alpha", "0.3", "--n", "2"],
+        TestingSetting(MixtureModel(0.2, 2.0, 6.0), Losses(3.0, 0.5), 37.5), 0.3, 2.0, 0.0,
+    ),
+    (
+        ["--p", "1e-6", "--tau-sq", "40", "--delta", "0.25", "--m", "1e9",
+         "--alpha", "1e-4", "--n", "3", "--d", "-2"],
+        TestingSetting(MixtureModel(1e-6, 1.0, 40.0), Losses(0.25, 1.0), 1e9), 1e-4, 3.0, -2.0,
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, setting, alpha, n, d", THRESHOLD_CASES)
+def test_threshold_lines_equal_library_values(capsys, flags, setting, alpha, n, d):
+    """The printed c_sq round-trips to exactly the library's threshold."""
+    code, out, _ = run_cli(
+        capsys, "threshold", "--oracle", "--bfdr", "--gw", "--bonferroni",
+        "--universal", "--replicate", *flags,
+    )
+    assert code == 0
+    printed = {line.split()[0]: grab(line, "c_sq") for line in out.splitlines()[1:]}
+    assert printed["oracle"] == oracle_threshold_sq_raw(setting.model, setting.losses)
+    rules = {
+        "bfdr": BfdrRule(alpha),
+        "gw": GwRule(alpha),
+        "bonferroni": BonferroniRule(alpha),
+        "universal": UniversalRule(d),
+        "replicate": ReplicateRule(n, d),
+    }
+    for name, rule in rules.items():
+        assert printed[name] == threshold_sq(rule, setting), name
+    assert list(printed) == ["oracle", *rules]
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--p", "0.1", "--u", "3", "--tau-sq", "5"], "setting.u"),
+    (["--p", "0.1", "--u", "3", "--delta", "4", "--delta0", "2"], "setting.delta"),
+    (["--u", "3"], "setting.p"),
+    (["--p", "0.1"], "setting.u"),
+])
+def test_threshold_rejects_conflicting_or_missing_setting_flags(capsys, flags, field):
+    """threshold builds its setting like risk does, so it rejects the same flags."""
+    code, out, err = run_cli(capsys, "threshold", "--oracle", *flags)
+    assert code == 2
+    assert field in err
+    assert "c_sq" not in out
+    assert run_cli(capsys, "risk", *flags)[0] == 2
 
 
 def test_threshold_level_above_supremum_is_domain_error(capsys):

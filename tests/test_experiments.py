@@ -157,15 +157,37 @@ def test_regime_point_rejects_inconsistent_derived():
     good = DerivedParams(u=u, f=f, delta=delta, v=u * f * f)
     consts = AsymptoticConstants.from_limit(1.0)
     RegimePoint(
-        t=100.0, m=100.0, p=p, u=u, delta=delta,
+        m=100.0, p=p, u=u, delta=delta,
         derived=good, consts=consts, c_finite=good.log_v / u,
     )
     bad = DerivedParams(u=u, f=2.0 * f, delta=delta, v=u * 4.0 * f * f)
     with pytest.raises(ParameterError):
         RegimePoint(
-            t=100.0, m=100.0, p=p, u=u, delta=delta,
+            m=100.0, p=p, u=u, delta=delta,
             derived=bad, consts=consts, c_finite=bad.log_v / u,
         )
+
+
+def test_regime_keeps_p_at_extreme_m():
+    """p = 1/m holds past m = 1e300; the universal gap keeps its slow decay."""
+    regime, rule = preset("lemma_universal")
+    regime = dataclasses.replace(regime, t_grid=(1e300, 1e305))
+    assert [point.p for point in regime.points()] == [1.0 / 1e300, 1.0 / 1e305]
+    gaps = [abs(row.ratio - 1.0) for row in run_convergence(regime, rule)]
+    assert 0.9 * gaps[0] < gaps[1] < gaps[0]
+
+
+def test_regime_rejects_p_outside_unit_interval():
+    underflow = regime_verge(
+        2.0, PowerSparsity(kappa=1.0, a=1e-30), ConstantDelta(), t_grid=(1e300,)
+    )
+    with pytest.raises(ParameterError, match=r"p = 0\.0 at m = 1e\+300"):
+        underflow.points()
+    above_one = regime_verge(
+        2.0, PowerSparsity(kappa=0.5, a=2.0), ConstantDelta(), t_grid=(2.0,)
+    )
+    with pytest.raises(ParameterError, match=r"m = 2\.0"):
+        above_one.points()
 
 
 def test_point_setting_materialization():
@@ -227,7 +249,7 @@ def test_preset_mc_grids_for_step_up():
 
 
 def test_convergence_columns_match_row_fields():
-    fields = tuple(f.name for f in dataclasses.fields(ConvergenceRow) if f.name != "t")
+    fields = tuple(f.name for f in dataclasses.fields(ConvergenceRow))
     assert CONVERGENCE_COLUMNS == fields
 
 

@@ -195,6 +195,13 @@ def test_gap_study_deterministic_in_workers():
     assert a == b
 
 
+def test_gap_study_shares_the_step_up_replicates():
+    setting = _setting(m=300)
+    study = threshold_gap_study(setting, 0.1, 40, seed=7, epsilon=0.25)
+    report = mc_run(setting, BhRule(alpha=0.1), 40, seed=7)
+    assert study.gap == report.threshold_gap
+
+
 def test_gap_study_concentrates_with_m():
     """Median |c_BH - c_GW| shrinks as m grows along the matched regime."""
 
