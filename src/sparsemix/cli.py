@@ -226,8 +226,9 @@ _RULE_FLAG_KEYS = ("alpha", "c_sq", "d", "n")
 def _build_rule(src: dict, args, base=None, prefix: str = "rule."):
     """Rule from a config object and/or flags; flags override fields.
 
-    With no kind from either, the flags go on top of base (a preset's rule);
-    without a base there is no rule and the result is None.
+    With no kind from either, the config's fields and then the flags go on
+    top of base (a preset's rule); without a base there is no rule and the
+    result is None.
     """
     merged = dict(src)
     if args.rule is not None:
@@ -235,10 +236,23 @@ def _build_rule(src: dict, args, base=None, prefix: str = "rule."):
     if "kind" not in merged:
         if base is None:
             return None
-        merged = rule_to_config(base)
+        merged = {**rule_to_config(base), **merged}
     if not isinstance(merged.get("kind"), str):
         raise ConfigError(prefix + "kind", "must be a string")
     return rule_from_config(_overlay_flags(merged, args, _RULE_FLAG_KEYS))
+
+
+def _grid_field(cfg: dict, prefix: str = ""):
+    """cfg["grid"] checked to be a nonempty array of numbers; absent or null
+    gives None."""
+    grid = cfg.get("grid")
+    if grid is None:
+        return None
+    if not isinstance(grid, list) or not grid or any(
+        isinstance(value, bool) or not isinstance(value, (int, float)) for value in grid
+    ):
+        raise ConfigError(prefix + "grid", "must be a nonempty array of numbers")
+    return grid
 
 
 def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
@@ -272,20 +286,13 @@ def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
         delta_rule = DecayingDelta(g=_field(dl, "g", float, prefix + "delta.", 1.0))
     else:
         raise ConfigError(prefix + "delta.family", "must be 'constant' or 'decaying'")
-    grid = src.get("grid")
-    if grid is not None:
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError(prefix + "grid", "must be a nonempty array of numbers")
-        for value in grid:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(prefix + "grid", "must be a nonempty array of numbers")
     return regime_verge(
         beta,
         sparsity,
         delta_rule,
         alpha_rule=_field(src, "alpha", float, prefix),
         n_rule=_field(src, "n", float, prefix),
-        t_grid=grid,
+        t_grid=_grid_field(src, prefix),
         name=_field(src, "name", str, prefix, "config_regime"),
     )
 
@@ -446,10 +453,8 @@ def cmd_convergence(args) -> int:
         if rule is None:
             raise ConfigError("rule.kind", "required with a config regime")
         echo["regime"] = cfg["regime"]
-    grid = args.grid if args.grid is not None else cfg.get("grid")
+    grid = args.grid if args.grid is not None else _grid_field(cfg)
     if grid is not None:
-        if not isinstance(grid, (list, tuple)) or not grid:
-            raise ConfigError("grid", "must be a nonempty array of numbers")
         regime = replace(regime, t_grid=tuple(float(g) for g in grid))
         echo["grid"] = [float(g) for g in grid]
     mode = _flag_or_field(args, cfg, "mode", str)

@@ -357,9 +357,18 @@ def sample(setting: TestingSetting, seed) -> tuple[np.ndarray, np.ndarray]:
     model = setting.model
     rng = np.random.default_rng(seed)
     truth = rng.random(m) < model.p
-    scale = np.where(truth, math.sqrt(model.sigma_sq + model.tau_sq), model.sigma)
-    x = rng.standard_normal(m) * scale
-    return truth, x
+    return truth, _component_normals(rng, truth, model)
+
+
+def _component_normals(rng: np.random.Generator, truth: np.ndarray, model: MixtureModel) -> np.ndarray:
+    """One block of len(truth) standard normals, each times its component's
+    scale: sqrt(sigma^2 + tau^2) where truth, sigma elsewhere.  Every element
+    gets the same product as against a full scale array, without building one."""
+    x = rng.standard_normal(truth.size)
+    alt = x[truth] * math.sqrt(model.sigma_sq + model.tau_sq)
+    x *= model.sigma
+    x[truth] = alt
+    return x
 
 
 def sample_with_means(setting: TestingSetting, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

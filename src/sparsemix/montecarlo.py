@@ -7,7 +7,9 @@ order.  Worker threads only choose *which* slots they fill, never the
 stream or the order of the reduction, so reports are bit-identical for any
 worker count.  The default worker count comes from the SPARSEMIX_WORKERS
 environment variable (fallback 1); numpy releases the GIL inside the large
-per-replicate kernels, so threads give real speedup at large m.
+per-replicate kernels, so threads give real speedup at large m.  At most
+one thread per usable CPU and per two replicates is started, whatever the
+count asked for.
 
 Statistic conventions: FDP is V/R with 0/0 := 0; power is the discovered
 proportion S/K among the K true signals (0 when the sample has none); loss
@@ -27,7 +29,7 @@ import numpy as np
 
 from .bfdr import BfdrLevel, gw_threshold
 from .errors import ParameterError
-from .model import TestingSetting, sample
+from .model import TestingSetting, _component_normals, sample
 from .procedures import bonferroni_threshold, confusion
 from .rules import (
     BhRule,
@@ -118,11 +120,21 @@ def _replicate_rng(seed, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _parallel_fill(fill, reps: int, workers: int | None) -> None:
     w = default_workers() if workers is None else int(workers)
     if w < 1:
         raise ParameterError("worker count must be >= 1")
-    if w == 1 or reps < 2 * w:
+    # More threads than CPUs or than pairs of replicates only add overhead;
+    # the reports do not depend on the count.
+    w = min(w, _usable_cpus(), reps // 2)
+    if w <= 1:
         fill(0, reps)
         return
     step = -(-reps // w)
@@ -209,15 +221,12 @@ def mc_conditional_k(
     if k > m:
         raise ParameterError(f"k={k} exceeds m={m}")
     k = int(k)
-    model = setting.model
-    alt_scale = math.sqrt(model.sigma_sq + model.tau_sq)
 
     def draw(rng):
         truth = np.zeros(m, dtype=bool)
         if k:
             truth[rng.choice(m, size=k, replace=False)] = True
-        x = rng.standard_normal(m) * np.where(truth, alt_scale, model.sigma)
-        return truth, x
+        return truth, _component_normals(rng, truth, setting.model)
 
     return _report(_replicates(setting, rule, reps, seed, workers, draw))
 

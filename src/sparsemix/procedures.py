@@ -89,12 +89,17 @@ class ConfusionCounts:
 def pvalues(x, sigma: float) -> np.ndarray:
     """Two-sided p-values P(|N(0, sigma^2)| >= |x_i|), computed via erfc so
     the extreme tail keeps full relative accuracy."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    mag = np.abs(np.asarray(x, dtype=float))
+    # NaN and inf both make the max non-finite; an empty array has no max.
+    if mag.size and not np.isfinite(mag.max()):
         raise ParameterError("x must be finite")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ParameterError("sigma must be a finite positive real")
-    return special.erfc(np.abs(arr) / (sigma * _SQRT2))
+    if mag.ndim == 0:
+        # np.abs of a 0-d array is a numpy scalar, which has no buffer for out=.
+        return special.erfc(mag / (sigma * _SQRT2))
+    np.divide(mag, sigma * _SQRT2, out=mag)
+    return special.erfc(mag, out=mag)
 
 
 def _check_level(alpha: float) -> float:
@@ -121,11 +126,15 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     arr = np.asarray(pvals, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("pvals must be a nonempty 1-d array")
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    # NaN fails both comparisons, since min and max propagate it.
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ParameterError("p-values must lie in [0, 1]")
     m = arr.size
-    ordered = np.sort(arr)
-    hits = np.nonzero(ordered <= alpha * np.arange(1, m + 1) / m)[0]
+    # Only p-values at or below the last critical value alpha * m / m (which
+    # rounding can put one ulp above alpha) can satisfy p_(i) <= i alpha / m.
+    # They are the smallest ones, so sorting just them keeps their ranks.
+    ordered = np.sort(arr[arr <= alpha * m / m])
+    hits = np.nonzero(ordered <= alpha * np.arange(1, ordered.size + 1) / m)[0]
     if hits.size == 0:
         return RejectionResult(
             rejected=np.zeros(m, dtype=bool),

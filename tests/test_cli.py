@@ -398,6 +398,36 @@ def test_convergence_needs_preset_or_regime(capsys):
     assert "preset" in err
 
 
+@pytest.mark.parametrize("grid", [["x"], [1e3, "1e3"], [True], [], "1e3", {"m": 1e3}])
+def test_convergence_config_grid_entries_checked(tmp_path, capsys, grid):
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({"preset": "lemma_universal", "grid": grid}))
+    code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: grid: must be a nonempty array of numbers"
+
+
+def test_convergence_config_rule_without_kind_overlays_the_preset_rule(tmp_path, capsys):
+    """A config rule without a kind changes the preset's rule as the flags do."""
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({"preset": "bfdr_fixed_alpha", "rule": {"alpha": 0.3}}))
+    runs = {
+        "config": ["--config", str(cfg)],
+        "flag": ["--preset", "bfdr_fixed_alpha", "--alpha", "0.3"],
+        "preset": ["--preset", "bfdr_fixed_alpha"],
+        "config_and_flag": ["--config", str(cfg), "--alpha", "0.2"],
+        "flag_02": ["--preset", "bfdr_fixed_alpha", "--alpha", "0.2"],
+    }
+    outs = {}
+    for name, argv in runs.items():
+        code, outs[name], _ = run_cli(capsys, "convergence", *argv, "--grid", "1e3")
+        assert code == 0
+    assert outs["config"] == outs["flag"]
+    assert outs["config"] != outs["preset"]
+    assert outs["config_and_flag"] == outs["flag_02"]
+
+
 def test_convergence_unknown_preset_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--preset", "no_such_preset"])

@@ -322,6 +322,21 @@ def test_sample_deterministic():
     assert not np.array_equal(x1, x3)
 
 
+@pytest.mark.parametrize("p, sigma_sq", [(0.1, 1.0), (0.3, 2.7), (0.9, 0.4)])
+def test_sample_matches_a_scale_array_draw(p, sigma_sq):
+    """Same stream and bit-identical values as one normal block times a
+    per-element scale array."""
+    setting = TestingSetting(
+        model=MixtureModel(p=p, sigma_sq=sigma_sq, tau_sq=5.0), losses=Losses(1.0, 1.0), m=500
+    )
+    rng = np.random.default_rng(11)
+    truth = rng.random(500) < p
+    x = rng.standard_normal(500) * np.where(truth, math.sqrt(sigma_sq + 5.0), math.sqrt(sigma_sq))
+    got_truth, got_x = sample(setting, 11)
+    np.testing.assert_array_equal(got_truth, truth)
+    assert got_x.tobytes() == x.tobytes()
+
+
 def test_sample_signal_frequency():
     setting = _setting(p=0.1, m=10**5)
     truth, _ = sample(setting, 0)

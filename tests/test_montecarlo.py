@@ -1,10 +1,13 @@
 """Monte-Carlo runner: determinism, agreement with closed forms, gap study."""
 
 import math
+from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
 
+from sparsemix import montecarlo
 from sparsemix import (
     BhRule,
     BfdrLevel,
@@ -128,6 +131,63 @@ def test_mc_conditional_worker_invariance():
     a = mc_conditional_k(setting, BhRule(alpha=0.2), 7, 60, seed=2, workers=1)
     b = mc_conditional_k(setting, BhRule(alpha=0.2), 7, 60, seed=2, workers=3)
     assert a == b
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    submitted span at once in the calling thread, so no thread starts."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "asked, cpus, reps, expected",
+    [
+        (100_000, 3, 40, 3),  # clamped to the usable CPUs
+        (100_000, 64, 10, 5),  # clamped to reps // 2
+        (4, 8, 40, 4),
+        (3, 8, 5, 2),
+        (3, 8, 3, None),  # reps // 2 == 1: runs in the calling thread
+        (2, 1, 40, None),  # one CPU: likewise
+    ],
+)
+def test_worker_count_is_clamped(monkeypatch, asked, cpus, reps, expected):
+    setting = _setting(m=200)
+    serial = mc_run(setting, BhRule(alpha=0.2), reps, seed=4, workers=1)
+    made = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", partial(_RecordingPool, made))
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert mc_run(setting, BhRule(alpha=0.2), reps, seed=4, workers=asked) == serial
+    assert made == ([] if expected is None else [expected])
+
+
+def test_worker_clamp_falls_back_to_cpu_count(monkeypatch):
+    made = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", partial(_RecordingPool, made))
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("SPARSEMIX_WORKERS", "100000")
+    setting = _setting(m=200)
+    report = mc_conditional_k(setting, BhRule(alpha=0.2), 4, 30, seed=1)
+    assert report == mc_conditional_k(setting, BhRule(alpha=0.2), 4, 30, seed=1, workers=1)
+    assert made == [3]
+
+
+def test_worker_count_below_one_rejected():
+    with pytest.raises(ParameterError, match="worker count must be >= 1"):
+        mc_run(_setting(m=50), UniversalRule(), 10, seed=0, workers=0)
 
 
 # -----------------------------------------------------------------------
