@@ -2,8 +2,10 @@
 
 Output discipline: CSV with one header row, every float printed with 17
 significant digits (round-trippable), and a JSON sidecar next to each CSV
-carrying the effective configuration, seed and toolkit version.  With no
---out the CSV goes to stdout, so runs can be piped or diffed directly.
+carrying the effective configuration, seed, and the toolkit, numpy and
+scipy versions (Generator streams are promised only within a numpy
+version).  With no --out the CSV goes to stdout, so runs can be piped or
+diffed directly.
 Identical invocations produce byte-identical CSV regardless of worker
 count — parallelism never touches streams or reduction order.
 
@@ -26,6 +28,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bfdr import BfdrLevel, bfdr_threshold, gw_threshold
@@ -102,6 +105,8 @@ def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:
     path.write_text(text)
     sidecar = {
         "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "command": command,
         "columns": list(columns),
         "config": echo,
@@ -493,7 +498,8 @@ def _add_mc_flags(par, default_reps: int) -> None:
     par.add_argument("--reps", type=int, help=f"replicates (default {default_reps})")
     par.add_argument("--seed", type=int, help="master seed (default 0)")
     par.add_argument("--workers", type=int,
-                     help="worker threads (default $SPARSEMIX_WORKERS or 1)")
+                     help="worker threads, at most one per usable CPU and per replicate "
+                          "(default $SPARSEMIX_WORKERS, else the usable CPUs)")
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:

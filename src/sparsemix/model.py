@@ -356,15 +356,20 @@ def sample(setting: TestingSetting, seed) -> tuple[np.ndarray, np.ndarray]:
     m = setting.int_m()
     model = setting.model
     rng = np.random.default_rng(seed)
-    truth = rng.random(m) < model.p
-    return truth, _component_normals(rng, truth, model)
+    buf = rng.random(m)
+    truth = buf < model.p
+    # The normals go into the uniforms' block, which truth no longer needs.
+    return truth, _component_normals(rng, truth, model, out=buf)
 
 
-def _component_normals(rng: np.random.Generator, truth: np.ndarray, model: MixtureModel) -> np.ndarray:
+def _component_normals(
+    rng: np.random.Generator, truth: np.ndarray, model: MixtureModel, out: np.ndarray | None = None
+) -> np.ndarray:
     """One block of len(truth) standard normals, each times its component's
     scale: sqrt(sigma^2 + tau^2) where truth, sigma elsewhere.  Every element
-    gets the same product as against a full scale array, without building one."""
-    x = rng.standard_normal(truth.size)
+    gets the same product as against a full scale array, without building one.
+    The block is drawn into ``out`` when given (a float array of truth's size)."""
+    x = rng.standard_normal(truth.size, out=out)
     alt = x[truth] * math.sqrt(model.sigma_sq + model.tau_sq)
     x *= model.sigma
     x[truth] = alt

@@ -6,10 +6,13 @@ preallocated slot i, and the final reduction runs over the arrays in index
 order.  Worker threads only choose *which* slots they fill, never the
 stream or the order of the reduction, so reports are bit-identical for any
 worker count.  The default worker count comes from the SPARSEMIX_WORKERS
-environment variable (fallback 1); numpy releases the GIL inside the large
-per-replicate kernels, so threads give real speedup at large m.  At most
-one thread per usable CPU and per two replicates is started, whatever the
-count asked for.
+environment variable (fallback: the usable CPUs); numpy releases the GIL
+inside the large per-replicate kernels, so threads give real speedup at
+large m.  At most one thread per usable CPU and per replicate is started,
+whatever the count asked for.  A replicate keeps only the indices of its
+signals once drawn, and the step-up rule turns the replicate's own X into
+its p-values in place, so each replicate in flight holds about 9 bytes per
+test (about 18 for a fixed threshold).
 
 Statistic conventions: FDP is V/R with 0/0 := 0; power is the discovered
 proportion S/K among the K true signals (0 when the sample has none); loss
@@ -30,15 +33,8 @@ import numpy as np
 from .bfdr import BfdrLevel, gw_threshold
 from .errors import ParameterError
 from .model import TestingSetting, _component_normals, sample
-from .procedures import bonferroni_threshold, confusion
-from .rules import (
-    BhRule,
-    FixedThresholdRule,
-    Rule,
-    apply_rule,
-    is_fixed_threshold,
-    threshold_sq,
-)
+from .procedures import ConfusionCounts, bonferroni_threshold
+from .rules import BhRule, Rule, _decision
 
 __all__ = [
     "McEstimate",
@@ -100,7 +96,10 @@ class GapStudy:
 
 
 def default_workers() -> int:
-    raw = os.environ.get("SPARSEMIX_WORKERS", "1")
+    """SPARSEMIX_WORKERS when set, else the CPUs this process may run on."""
+    raw = os.environ.get("SPARSEMIX_WORKERS")
+    if raw is None:
+        return _usable_cpus()
     try:
         workers = int(raw)
     except ValueError:
@@ -131,9 +130,9 @@ def _parallel_fill(fill, reps: int, workers: int | None) -> None:
     w = default_workers() if workers is None else int(workers)
     if w < 1:
         raise ParameterError("worker count must be >= 1")
-    # More threads than CPUs or than pairs of replicates only add overhead;
-    # the reports do not depend on the count.
-    w = min(w, _usable_cpus(), reps // 2)
+    # More threads than CPUs or than replicates only add overhead; the
+    # reports do not depend on the count.
+    w = min(w, _usable_cpus(), reps)
     if w <= 1:
         fill(0, reps)
         return
@@ -163,10 +162,10 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
     losses = setting.losses
     gw_z = _gap_reference(setting, rule)
     bon_z = math.sqrt(float(bonferroni_threshold(m, rule.alpha))) if gw_z is not None else None
-    if is_fixed_threshold(rule):
-        # Resolve once: the threshold is the same for every replicate, and
-        # resolving may itself be expensive (bisection).
-        rule = FixedThresholdRule(float(threshold_sq(rule, setting)))
+    # Resolve once: a fixed threshold is the same for every replicate, and
+    # resolving may itself be expensive (bisection).  Each x is the
+    # replicate's own, so the step-up rule may overwrite it.
+    decide = _decision(rule, setting, overwrite=True)
     loss = np.empty(reps)
     fdp = np.empty(reps)
     any_false = np.empty(reps)
@@ -174,21 +173,27 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
     tdp = np.empty(reps)
     gaps = np.empty(reps) if gw_z is not None else None
 
+    def replicate(i: int) -> None:
+        # Its arrays are freed on return, before the next replicate draws.
+        truth, x = draw(_replicate_rng(seed, i))
+        signals = np.flatnonzero(truth)
+        del truth  # the few signal indices are all the counts need
+        result = decide(x)
+        s = int(np.count_nonzero(result.rejected[signals]))
+        counts = ConfusionCounts(V=result.num_rejected - s, S=s, K=signals.size, FN=signals.size - s)
+        rejected = counts.num_rejected
+        loss[i] = counts.loss(losses)
+        fdp[i] = counts.V / rejected if rejected > 0 else 0.0
+        any_false[i] = 1.0 if counts.V > 0 else 0.0
+        v_count[i] = counts.V
+        tdp[i] = counts.S / counts.K if counts.K > 0 else 0.0
+        if gaps is not None:
+            bh_z = min(bon_z, math.sqrt(float(result.realized_threshold_sq)))
+            gaps[i] = abs(bh_z - gw_z)
+
     def fill(lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            rng = _replicate_rng(seed, i)
-            truth, x = draw(rng)
-            result = apply_rule(rule, x, setting)
-            counts = confusion(result, truth)
-            rejected = counts.num_rejected
-            loss[i] = counts.loss(losses)
-            fdp[i] = counts.V / rejected if rejected > 0 else 0.0
-            any_false[i] = 1.0 if counts.V > 0 else 0.0
-            v_count[i] = counts.V
-            tdp[i] = counts.S / counts.K if counts.K > 0 else 0.0
-            if gaps is not None:
-                bh_z = min(bon_z, math.sqrt(float(result.realized_threshold_sq)))
-                gaps[i] = abs(bh_z - gw_z)
+            replicate(i)
 
     _parallel_fill(fill, reps, workers)
     stats = {"risk": loss, "fdr": fdp, "fwer": any_false, "ev": v_count, "power": tdp}

@@ -86,16 +86,20 @@ class ConfusionCounts:
         return losses.delta0 * self.V + losses.deltaA * self.FN
 
 
-def pvalues(x, sigma: float) -> np.ndarray:
+def pvalues(x, sigma: float, out=None) -> np.ndarray:
     """Two-sided p-values P(|N(0, sigma^2)| >= |x_i|), computed via erfc so
-    the extreme tail keeps full relative accuracy."""
-    mag = np.abs(np.asarray(x, dtype=float))
+    the extreme tail keeps full relative accuracy.
+
+    As with a numpy ufunc, ``out`` (an array of x's shape, x itself allowed)
+    receives the p-values and is returned; on an error it may hold |x|.
+    """
+    mag = np.abs(np.asarray(x, dtype=float), out=out)
     # NaN and inf both make the max non-finite; an empty array has no max.
     if mag.size and not np.isfinite(mag.max()):
         raise ParameterError("x must be finite")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ParameterError("sigma must be a finite positive real")
-    if mag.ndim == 0:
+    if out is None and mag.ndim == 0:
         # np.abs of a 0-d array is a numpy scalar, which has no buffer for out=.
         return special.erfc(mag / (sigma * _SQRT2))
     np.divide(mag, sigma * _SQRT2, out=mag)
@@ -115,6 +119,25 @@ def _check_m(m, name: str = "m") -> float:
     return mf
 
 
+def _critical_pvalue(arr: np.ndarray, alpha: float) -> float | None:
+    """p_(k) for the largest k with p_(k) <= k alpha / m, or None if no k
+    qualifies.  Its sorted copy is freed on return, before the caller builds
+    the m-length rejection mask."""
+    m = arr.size
+    # Only p-values at or below the last critical value alpha * m / m (which
+    # rounding can put one ulp above alpha) can satisfy p_(i) <= i alpha / m.
+    # They are the smallest ones, so sorting just them keeps their ranks.
+    ordered = arr[arr <= alpha * m / m]
+    ordered.sort()
+    # The critical values i alpha / m, with the same roundings as
+    # alpha * np.arange(1, n + 1) / m, built without further temporaries.
+    crit_values = np.arange(1, ordered.size + 1, dtype=float)
+    crit_values *= alpha
+    crit_values /= m
+    hits = np.nonzero(ordered <= crit_values)[0]
+    return ordered[hits[-1]] if hits.size else None
+
+
 def bh_reject(pvals, alpha: float) -> RejectionResult:
     """Step-up procedure at level alpha.
 
@@ -130,18 +153,13 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ParameterError("p-values must lie in [0, 1]")
     m = arr.size
-    # Only p-values at or below the last critical value alpha * m / m (which
-    # rounding can put one ulp above alpha) can satisfy p_(i) <= i alpha / m.
-    # They are the smallest ones, so sorting just them keeps their ranks.
-    ordered = np.sort(arr[arr <= alpha * m / m])
-    hits = np.nonzero(ordered <= alpha * np.arange(1, ordered.size + 1) / m)[0]
-    if hits.size == 0:
+    crit = _critical_pvalue(arr, alpha)
+    if crit is None:
         return RejectionResult(
             rejected=np.zeros(m, dtype=bool),
             num_rejected=0,
             realized_threshold_sq=bonferroni_threshold(m, alpha),
         )
-    crit = ordered[hits[-1]]
     rejected = arr <= crit
     # Map the critical p-value back to the |Z| scale; a p-value that
     # underflowed to exactly 0 is treated as the smallest positive double.
@@ -156,12 +174,14 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
 def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
     """Reject H_i exactly when x_i^2 / sigma^2 >= c^2 (ties rejected)."""
     arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, and an infinity is one of them.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ParameterError("x must be finite")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ParameterError("sigma must be a finite positive real")
     c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(float(c_sq))
-    rejected = (arr / sigma) ** 2 >= float(c_sq)
+    z = np.asarray(arr / sigma)  # a numpy scalar for 0-d input; square needs a buffer
+    rejected = np.square(z, out=z) >= float(c_sq)
     return RejectionResult(
         rejected=rejected,
         num_rejected=int(rejected.sum()),
@@ -215,6 +235,6 @@ def confusion(result: RejectionResult, truth) -> ConfusionCounts:
     if truth_arr.shape != rej.shape:
         raise ParameterError("truth and rejection mask must have the same shape")
     k = int(np.count_nonzero(truth_arr))
-    s = int(np.count_nonzero(rej & truth_arr))
+    s = int(np.count_nonzero(truth_arr[rej]))
     v = result.num_rejected - s
     return ConfusionCounts(V=v, S=s, K=k, FN=k - s)

@@ -227,11 +227,24 @@ def threshold_sq(rule: Rule, setting: TestingSetting) -> ThresholdSq:
     raise ParameterError(f"{kind} rule has no fixed threshold; use the Monte-Carlo runner")
 
 
+def _decision(rule: Rule, setting: TestingSetting, *, overwrite: bool = False):
+    """Resolve a rule under a setting into x -> RejectionResult, once.
+
+    A fixed rule's threshold is computed here rather than per sample.  With
+    ``overwrite`` the step-up rule turns x into its p-values in place, for
+    callers that own x and need it no further.
+    """
+    sigma = setting.model.sigma
+    if isinstance(rule, BhRule):
+        alpha = _need_alpha(rule)
+        return lambda x: bh_reject(pvalues(x, sigma, out=x if overwrite else None), alpha)
+    c_sq = threshold_sq(rule, setting)
+    return lambda x: fixed_threshold_reject(x, sigma, c_sq)
+
+
 def apply_rule(rule: Rule, x, setting: TestingSetting) -> RejectionResult:
     """Apply a rule to one sample of test statistics."""
-    if isinstance(rule, BhRule):
-        return bh_reject(pvalues(x, setting.model.sigma), _need_alpha(rule))
-    return fixed_threshold_reject(x, setting.model.sigma, threshold_sq(rule, setting))
+    return _decision(rule, setting)(x)
 
 
 def rule_to_config(rule: Rule) -> dict:

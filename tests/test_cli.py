@@ -16,7 +16,9 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 import sparsemix
 from sparsemix import (
@@ -296,6 +298,20 @@ def test_simulate_preset_run(tmp_path, capsys):
     header, rows = parse_csv(out_path.read_text())
     assert header == ["stat", "mean", "std_error", "reps"]
     assert len(rows) == 5
+
+
+def test_sidecar_records_library_versions(tmp_path, capsys):
+    """numpy promises a Generator stream only within one of its versions."""
+    out_path = tmp_path / "sim.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--preset", "lemma_universal", "--m", "200",
+        "--reps", "2", "--seed", "2", "--out", str(out_path),
+    )
+    assert code == 0
+    sidecar = json.loads((tmp_path / "sim.json").read_text())
+    assert sidecar["numpy"] == numpy.__version__
+    assert sidecar["scipy"] == scipy.__version__
+    assert sidecar["version"] == sparsemix.__version__
 
 
 def test_simulate_config_file(tmp_path, capsys):

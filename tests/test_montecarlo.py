@@ -1,6 +1,8 @@
 """Monte-Carlo runner: determinism, agreement with closed forms, gap study."""
 
 import math
+import os
+import tracemalloc
 from concurrent.futures import Future
 from functools import partial
 
@@ -19,14 +21,17 @@ from sparsemix import (
     ParameterError,
     TestingSetting,
     UniversalRule,
+    apply_rule,
     bh_conditional_ev_bound,
     bh_ev_constant,
     bonferroni_threshold,
+    confusion,
     default_workers,
     gw_threshold,
     mc_conditional_k,
     mc_run,
     optimal_risk_exact,
+    sample,
     threshold_gap_study,
 )
 
@@ -60,7 +65,9 @@ def test_mc_estimate_validation():
 
 def test_default_workers_env(monkeypatch):
     monkeypatch.delenv("SPARSEMIX_WORKERS", raising=False)
-    assert default_workers() == 1
+    assert default_workers() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(5)))
+    assert default_workers() == 5
     monkeypatch.setenv("SPARSEMIX_WORKERS", "6")
     assert default_workers() == 6
     monkeypatch.setenv("SPARSEMIX_WORKERS", "zero")
@@ -156,11 +163,11 @@ class _RecordingPool:
     "asked, cpus, reps, expected",
     [
         (100_000, 3, 40, 3),  # clamped to the usable CPUs
-        (100_000, 64, 10, 5),  # clamped to reps // 2
+        (100_000, 64, 10, 10),  # clamped to reps
         (4, 8, 40, 4),
-        (3, 8, 5, 2),
-        (3, 8, 3, None),  # reps // 2 == 1: runs in the calling thread
-        (2, 1, 40, None),  # one CPU: likewise
+        (8, 16, 5, 5),  # clamped to reps
+        (2, 8, 2, 2),  # the fewest reps still fill two threads
+        (2, 1, 40, None),  # one CPU: runs in the calling thread
     ],
 )
 def test_worker_count_is_clamped(monkeypatch, asked, cpus, reps, expected):
@@ -188,6 +195,68 @@ def test_worker_clamp_falls_back_to_cpu_count(monkeypatch):
 def test_worker_count_below_one_rejected():
     with pytest.raises(ParameterError, match="worker count must be >= 1"):
         mc_run(_setting(m=50), UniversalRule(), 10, seed=0, workers=0)
+
+
+def _setting_sigma(m=400):
+    return TestingSetting(
+        model=MixtureModel(p=0.03, sigma_sq=2.7, tau_sq=40.0),
+        losses=Losses(1.0, 2.0),
+        m=m,
+    )
+
+
+@pytest.mark.parametrize("rule", [BhRule(alpha=0.2), UniversalRule()])
+def test_default_worker_count_gives_the_serial_reports(monkeypatch, rule):
+    """The default policy (one thread per usable CPU) changes no number."""
+    monkeypatch.delenv("SPARSEMIX_WORKERS", raising=False)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(3)))
+    setting = _setting_sigma()
+    assert mc_run(setting, rule, 7, seed=3) == mc_run(setting, rule, 7, seed=3, workers=1)
+    assert mc_conditional_k(setting, rule, 12, 5, seed=8) == mc_conditional_k(
+        setting, rule, 12, 5, seed=8, workers=1
+    )
+    if isinstance(rule, BhRule):
+        assert threshold_gap_study(setting, rule.alpha, 7, seed=3, epsilon=0.3) == (
+            threshold_gap_study(setting, rule.alpha, 7, seed=3, epsilon=0.3, workers=1)
+        )
+
+
+@pytest.mark.parametrize("rule", [BhRule(alpha=0.3), BhRule(alpha=0.97), UniversalRule(d=-4.0)])
+def test_replicate_counts_match_confusion(rule):
+    """The loop counts V, S and K from the signal indices; confusion on the
+    same draws (through apply_rule, which leaves x alone) gives the same."""
+    setting = _setting_sigma(m=300)
+    stats = montecarlo._replicates(setting, rule, 6, 11, 1, partial(sample, setting))
+    for i in range(6):
+        truth, x = sample(setting, montecarlo._replicate_rng(11, i))
+        counts = confusion(apply_rule(rule, x, setting), truth)
+        rejected = counts.num_rejected
+        assert stats["ev"][i] == counts.V
+        assert stats["risk"][i] == counts.loss(setting.losses)
+        assert stats["fdr"][i] == (counts.V / rejected if rejected else 0.0)
+        assert stats["power"][i] == (counts.S / counts.K if counts.K else 0.0)
+    assert stats["ev"].sum() > 0 and stats["power"].sum() > 0  # both counts exercised
+
+
+def test_step_up_level_still_required():
+    with pytest.raises(ParameterError, match="bh rule has no level"):
+        mc_run(_setting(m=50), BhRule(), 4, seed=0, workers=1)
+
+
+def test_step_up_replicate_peak_memory():
+    """One step-up replicate holds its draw (turned into p-values in place)
+    and about a byte-per-test mask; an extra m-length float temporary would
+    add 8 bytes per test and break the bound."""
+    m = 200_000
+    setting = _setting(p=1e-3, u=2.0 * math.log(m), m=m)
+    mc_run(setting, BhRule(alpha=0.1), 2, seed=0, workers=1)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        mc_run(setting, BhRule(alpha=0.1), 2, seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * m
 
 
 # -----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""pvalues and the step-up rule against straightforward references.
+"""pvalues, the step-up rule and the fixed-threshold rule against
+straightforward references.
 
-The library sorts only the p-values that can reach a critical value and
-validates each array in one pass; the references below sort everything
-and check with separate passes.  Both must agree exactly: the same mask,
-count and realized threshold, and the same errors.
+The library sorts only the p-values that can reach a critical value,
+validates each array with a min and a max, and reuses its temporaries;
+the references below sort everything, check with separate passes and
+allocate freely.  Both must agree exactly: the same mask, count and
+realized threshold, and the same errors.
 """
 
 import math
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
-from sparsemix import ParameterError, bh_reject, bonferroni_threshold, pvalues
+from sparsemix import ParameterError, bh_reject, bonferroni_threshold, fixed_threshold_reject, pvalues
 from sparsemix.normal import Phi_inv_upper
 
 
@@ -181,3 +183,89 @@ def assert_same_pvalues(x, sigma):
 @example([[1.0], [-np.inf]], 1.7)
 def test_pvalues_match_reference(x, sigma):
     assert_same_pvalues(x, sigma)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.array([0.3, -2.5, 0.0, 40.0]), np.arange(12.0).reshape(3, 4) - 6.0, np.asarray(-1.5), np.array([])],
+)
+def test_pvalues_out_is_written_and_returned(x):
+    want = pvalues(x.copy(), 1.7)
+    buf = x.copy()
+    got = pvalues(buf, 1.7, out=buf)
+    assert got is buf
+    assert got.dtype == want.dtype and got.shape == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+    other = np.empty_like(x)
+    assert pvalues(x, 1.7, out=other) is other
+    np.testing.assert_array_equal(other, want)
+
+
+@pytest.mark.parametrize("x", [np.array([0.3, -2.5, 0.0]), np.asarray(-1.5), np.array([])])
+def test_pvalues_without_out_leave_x_alone(x):
+    before = x.copy()
+    pvalues(x, 1.7)
+    np.testing.assert_array_equal(x, before)
+    assert np.signbit(x).tolist() == np.signbit(before).tolist()
+
+
+def test_pvalues_out_keeps_the_errors():
+    for x, sigma, message in (([0.5, np.nan], 1.0, "x must be finite"), ([0.5], 0.0, "sigma must be")):
+        buf = np.array(x)
+        with pytest.raises(ParameterError, match=message):
+            pvalues(buf, sigma, out=buf)
+
+
+def reference_fixed(x, sigma, c_sq):
+    """The fixed-threshold rule as first written: an isfinite array, the
+    quotient, then its square."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ParameterError("x must be finite")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ParameterError("sigma must be a finite positive real")
+    return (arr / sigma) ** 2 >= float(c_sq)
+
+
+def assert_same_fixed(x, sigma, c_sq):
+    with np.errstate(over="ignore"):  # x / sigma or its square past the largest double
+        kind, expected = outcome(reference_fixed, x, sigma, c_sq)
+        if kind == "error":
+            assert outcome(fixed_threshold_reject, x, sigma, c_sq) == (kind, expected)
+            return
+        got = fixed_threshold_reject(x, sigma, c_sq)
+    want = np.asarray(expected, dtype=bool)
+    assert got.rejected.dtype == bool and got.rejected.shape == want.shape
+    np.testing.assert_array_equal(got.rejected, want)
+    assert got.num_rejected == int(want.sum())
+    assert float(got.realized_threshold_sq) == float(c_sq)
+
+
+@st.composite
+def fixed_inputs(draw):
+    """Arrays of any shape, with values on the boundary x^2 / sigma^2 == c^2
+    (and one ulp either side), infinities and NaN mixed in."""
+    sigma = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 0.0, -1.0, np.nan, np.inf])))
+    c_sq = draw(st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 4.0, math.inf])))
+    edge = math.sqrt(c_sq) * sigma if math.isfinite(c_sq) and math.isfinite(sigma) and sigma > 0 else 1.0
+    special_values = [edge, -edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, np.inf)),
+                      0.0, -0.0, np.inf, -np.inf, np.nan]
+    value = st.one_of(st.sampled_from(special_values), st.floats(-1e3, 1e3))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6))
+    x = draw(hnp.arrays(np.float64, shape, elements=value))
+    return x, sigma, c_sq
+
+
+@settings(max_examples=400, deadline=None)
+@given(fixed_inputs())
+@example((np.asarray(3.0), 1.5, 4.0))  # 0-d, on the boundary
+@example((np.asarray(np.nan), 1.0, 4.0))
+@example((np.array([]), 1.0, 4.0))
+@example((np.array([]), 0.0, 4.0))
+@example((np.array([2.0, -2.0, np.nextafter(2.0, 0.0)]), 1.0, 4.0))
+@example((np.array([1.0, -np.inf]), 1.0, 4.0))
+@example((np.array([np.inf, 1.0]), np.nan, 4.0))
+@example((np.array([1e308, -1e308]), 1e-3, 4.0))  # finite, but the square overflows
+@example(([0.5, -3.0], 1.0, math.inf))  # a plain list
+def test_fixed_threshold_matches_reference(case):
+    assert_same_fixed(*case)
