@@ -9,10 +9,11 @@ worker count.  The default worker count comes from the SPARSEMIX_WORKERS
 environment variable (fallback: the usable CPUs); numpy releases the GIL
 inside the large per-replicate kernels, so threads give real speedup at
 large m.  At most one thread per usable CPU and per replicate is started,
-whatever the count asked for.  A replicate keeps only the indices of its
-signals once drawn, and the step-up rule turns the replicate's own X into
-its p-values in place, so each replicate in flight holds about 9 bytes per
-test (about 18 for a fixed threshold).
+whatever the count asked for.  Each thread draws its replicates into one
+float block that the calling thread allocated.  A replicate keeps only the
+indices of its signals once drawn, and the step-up rule turns the
+replicate's own X into its p-values in place, so each replicate in flight
+holds about 9 bytes per test (about 18 for a fixed threshold).
 
 Statistic conventions: FDP is V/R with 0/0 := 0; power is the discovered
 proportion S/K among the K true signals (0 when the sample has none); loss
@@ -126,7 +127,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parallel_fill(fill, reps: int, workers: int | None) -> None:
+def _parallel_fill(fill, reps: int, workers: int | None, m: int) -> None:
+    """fill(lo, hi, buf) over spans of the replicates, each span with its own
+    float block buf of m elements."""
     w = default_workers() if workers is None else int(workers)
     if w < 1:
         raise ParameterError("worker count must be >= 1")
@@ -134,12 +137,16 @@ def _parallel_fill(fill, reps: int, workers: int | None) -> None:
     # reports do not depend on the count.
     w = min(w, _usable_cpus(), reps)
     if w <= 1:
-        fill(0, reps)
+        fill(0, reps, np.empty(m))
         return
     step = -(-reps // w)
     spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+    # The blocks are allocated here, in the calling thread.  A block that a
+    # worker allocates and frees stays in that thread's malloc arena, and
+    # how the arenas fragment depends on how the threads interleave, so the
+    # process's peak memory would differ from run to run by up to a block.
     with ThreadPoolExecutor(max_workers=w) as pool:
-        for future in [pool.submit(fill, lo, hi) for lo, hi in spans]:
+        for future in [pool.submit(fill, lo, hi, np.empty(m)) for lo, hi in spans]:
             future.result()
 
 
@@ -151,7 +158,8 @@ def _gap_reference(setting: TestingSetting, rule: Rule) -> float | None:
 
 
 def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, draw) -> dict:
-    """Shared replicate loop; `draw(rng)` yields (truth, x) for one replicate.
+    """Shared replicate loop; `draw(rng, buf)` yields (truth, x) for one
+    replicate, with x drawn into buf, a float block of m elements.
 
     Returns the per-replicate statistics under their McReport field names,
     each an array in index order; "threshold_gap" is present only for the
@@ -173,9 +181,10 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
     tdp = np.empty(reps)
     gaps = np.empty(reps) if gw_z is not None else None
 
-    def replicate(i: int) -> None:
-        # Its arrays are freed on return, before the next replicate draws.
-        truth, x = draw(_replicate_rng(seed, i))
+    def replicate(i: int, buf: np.ndarray) -> None:
+        # Its other arrays are freed on return, before the next replicate
+        # draws into the same block.
+        truth, x = draw(_replicate_rng(seed, i), buf)
         signals = np.flatnonzero(truth)
         del truth  # the few signal indices are all the counts need
         result = decide(x)
@@ -191,11 +200,11 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
             bh_z = min(bon_z, math.sqrt(float(result.realized_threshold_sq)))
             gaps[i] = abs(bh_z - gw_z)
 
-    def fill(lo: int, hi: int) -> None:
+    def fill(lo: int, hi: int, buf: np.ndarray) -> None:
         for i in range(lo, hi):
-            replicate(i)
+            replicate(i, buf)
 
-    _parallel_fill(fill, reps, workers)
+    _parallel_fill(fill, reps, workers, m)
     stats = {"risk": loss, "fdr": fdp, "fwer": any_false, "ev": v_count, "power": tdp}
     if gaps is not None:
         stats["threshold_gap"] = gaps
@@ -227,11 +236,11 @@ def mc_conditional_k(
         raise ParameterError(f"k={k} exceeds m={m}")
     k = int(k)
 
-    def draw(rng):
+    def draw(rng, buf):
         truth = np.zeros(m, dtype=bool)
         if k:
             truth[rng.choice(m, size=k, replace=False)] = True
-        return truth, _component_normals(rng, truth, setting.model)
+        return truth, _component_normals(rng, truth, setting.model, out=buf)
 
     return _report(_replicates(setting, rule, reps, seed, workers, draw))
 

@@ -192,6 +192,30 @@ def test_worker_clamp_falls_back_to_cpu_count(monkeypatch):
     assert made == [3]
 
 
+def test_each_span_draws_into_a_block_from_the_calling_thread(monkeypatch):
+    """Each span's m-length block is handed to the pool with the span, so no
+    worker thread allocates one in its own malloc arena; the draws land in it."""
+    made, blocks = [], []
+
+    class BlockPool(_RecordingPool):
+        def submit(self, fn, *args):
+            args[-1].fill(np.nan)
+            blocks.append(args[-1])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", partial(BlockPool, made))
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(3)))
+    setting = _setting(m=200)
+    for run in (partial(mc_run, setting, BhRule(alpha=0.2)),
+                partial(mc_conditional_k, setting, UniversalRule(), 4)):
+        blocks.clear()
+        assert run(7, seed=4, workers=3) == run(7, seed=4, workers=1)
+        assert [(b.shape, b.dtype) for b in blocks] == [((200,), np.dtype(float))] * 3
+        assert len({id(b) for b in blocks}) == 3
+        assert not np.isnan(blocks).any()
+    assert made == [3, 3]
+
+
 def test_worker_count_below_one_rejected():
     with pytest.raises(ParameterError, match="worker count must be >= 1"):
         mc_run(_setting(m=50), UniversalRule(), 10, seed=0, workers=0)
