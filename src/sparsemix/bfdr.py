@@ -52,19 +52,17 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class BfdrLevel:
-    """A target level alpha together with the odds r_alpha = alpha/(1-alpha)."""
+    """A target level alpha and its odds r_alpha = alpha/(1-alpha)."""
 
     alpha: float
-    r_alpha: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0,1), got {self.alpha!r}")
-        expected = self.alpha / (1.0 - self.alpha)
-        if self.r_alpha is None:
-            object.__setattr__(self, "r_alpha", expected)
-        elif abs(self.r_alpha - expected) > 1e-12 * expected:
-            raise ParameterError("r_alpha must equal alpha/(1-alpha)")
+
+    @property
+    def r_alpha(self) -> float:
+        return self.alpha / (1.0 - self.alpha)
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,10 @@ def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
     """Root of fn(c) = target for strictly decreasing fn with fn(0) > target.
 
     Grows the bracket geometrically from hi_start until fn(hi) < target,
-    then bisects the |Z|-scale bracket down to ~1e-13 width.
+    then bisects the |Z|-scale bracket.  It returns a midpoint once the
+    bracket is down to ~1e-13 relative width and |fn(mid) - target| <= 1e-11,
+    and raises if no midpoint gets there: where fn is steep, a narrow
+    bracket alone does not put fn within the tolerance.
     """
     hi = max(hi_start, 1.0)
     for _ in range(200):
@@ -127,20 +128,22 @@ def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if fn(mid) > target:
+        value = fn(mid)
+        if hi - lo <= 1e-13 * max(1.0, hi) and abs(value - target) <= 1e-11:
+            return mid
+        if value > target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    raise ParameterError("bisection failed to reach the 1e-11 level tolerance")
 
 
 def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     """The unique c^2 with BFDR(c^2) = alpha, for alpha in (0, 1-p).
 
     Bisection on the monotone map; the returned threshold satisfies
-    |BFDR(c^2) - alpha| <= 1e-11.
+    |BFDR(c^2) - alpha| <= 1e-11; ParameterError when the bisection finds
+    no such threshold.
     """
     supremum = 1.0 - model.p
     if level.alpha >= supremum:
@@ -155,10 +158,7 @@ def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     log_v1 = math.log(u) + 2.0 * math.log(model.f)
     hi_sq = 4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0)
     c = _bisect_decreasing(lambda z: bfdr_of_threshold(model, z * z), level.alpha, math.sqrt(hi_sq))
-    c_sq = ThresholdSq(c * c)
-    if abs(bfdr_of_threshold(model, c_sq) - level.alpha) > 1e-11:
-        raise ParameterError("bisection failed to reach the 1e-11 level tolerance")
-    return c_sq
+    return ThresholdSq(c * c)
 
 
 def _gw_value(model: MixtureModel, c: float) -> float:
@@ -189,10 +189,7 @@ def gw_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     log_v1 = math.log(u) + 2.0 * math.log(model.f)
     hi_sq = 4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0)
     c = _bisect_decreasing(lambda z: _gw_value(model, z), level.alpha, math.sqrt(hi_sq))
-    c_sq = ThresholdSq(c * c)
-    if abs(_gw_value(model, c) - level.alpha) > 1e-11:
-        raise ParameterError("bisection failed to reach the 1e-11 level tolerance")
-    return c_sq
+    return ThresholdSq(c * c)
 
 
 def bfdr_threshold_asymptotic(f: float, level: BfdrLevel, consts: AsymptoticConstants) -> ThresholdSq:

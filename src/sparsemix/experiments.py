@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -153,30 +154,33 @@ _DELTA_RULES = (ConstantDelta, DecayingDelta)
 
 @dataclass(frozen=True)
 class RegimePoint:
-    """One grid point of a regime, with everything derived once.
+    """One grid point of a regime.
 
-    c_finite is log v / u at this point — the finite-m value of the
-    quantity whose declared limit is consts.C.
+    derived is computed once, at construction, which rejects a point whose
+    f or v cannot be represented.  c_finite is log v / u at this point — the
+    finite-m value of the quantity whose declared limit is consts.C.
     """
 
     m: float
     p: float
     u: float
     delta: float
-    derived: DerivedParams
     consts: AsymptoticConstants
-    c_finite: float
     alpha: float | None = None
     n: float | None = None
 
     def __post_init__(self):
-        d = self.derived
-        f = (1.0 - self.p) / self.p
-        for got, want, name in ((d.u, self.u, "u"), (d.f, f, "f"), (d.delta, self.delta, "delta")):
-            if abs(got - want) > 1e-12 * max(abs(want), 1.0):
-                raise ParameterError(f"derived parameters inconsistent with the point ({name})")
+        self.derived  # computed now, so that a bad point fails here
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise ParameterError("alpha must lie in (0,1)")
+
+    @cached_property
+    def derived(self) -> DerivedParams:
+        return DerivedParams(u=self.u, f=(1.0 - self.p) / self.p, delta=self.delta)
+
+    @property
+    def c_finite(self) -> float:
+        return self.derived.log_v / self.u
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,7 @@ def regime_verge(
         )
     alpha_fn = _schedule(alpha_rule, "alpha_rule")
     n_fn = _schedule(n_rule, "n_rule")
-    consts = AsymptoticConstants.from_limit(sparsity.c_numerator / beta)
+    consts = AsymptoticConstants(sparsity.c_numerator / beta)
     grid = DEFAULT_EXACT_GRID if t_grid is None else tuple(float(t) for t in t_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("t_grid must be strictly increasing")
@@ -243,18 +247,12 @@ def regime_verge(
         p = sparsity.p(m)
         if not 0.0 < p < 1.0:
             raise ParameterError(f"sparsity gives p = {p!r} at m = {m!r}, outside (0, 1)")
-        u = beta * math.log(m)
-        delta = delta_rule.delta(m)
-        f = (1.0 - p) / p
-        derived = DerivedParams(u=u, f=f, delta=delta, v=u * f * f * delta * delta)
         return RegimePoint(
             m=m,
             p=p,
-            u=u,
-            delta=delta,
-            derived=derived,
+            u=beta * math.log(m),
+            delta=delta_rule.delta(m),
             consts=consts,
-            c_finite=derived.log_v / u,
             alpha=alpha_fn(m) if alpha_fn is not None else None,
             n=n_fn(m) if n_fn is not None else None,
         )

@@ -189,7 +189,7 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
         del truth  # the few signal indices are all the counts need
         result = decide(x)
         s = int(np.count_nonzero(result.rejected[signals]))
-        counts = ConfusionCounts(V=result.num_rejected - s, S=s, K=signals.size, FN=signals.size - s)
+        counts = ConfusionCounts(V=result.num_rejected - s, S=s, K=signals.size)
         rejected = counts.num_rejected
         loss[i] = counts.loss(losses)
         fdp[i] = counts.V / rejected if rejected > 0 else 0.0

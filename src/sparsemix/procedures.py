@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -50,14 +51,15 @@ class RejectionResult:
     """
 
     rejected: np.ndarray
-    num_rejected: int
     realized_threshold_sq: ThresholdSq
 
     def __post_init__(self):
-        rej = np.asarray(self.rejected, dtype=bool)
-        object.__setattr__(self, "rejected", rej)
-        if self.num_rejected != int(rej.sum()):
-            raise ParameterError("num_rejected does not match the rejection mask")
+        object.__setattr__(self, "rejected", np.asarray(self.rejected, dtype=bool))
+
+    @cached_property
+    def num_rejected(self) -> int:
+        """Counted from the mask on first use, once."""
+        return int(np.count_nonzero(self.rejected))
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,18 @@ class ConfusionCounts:
     V: int
     S: int
     K: int
-    FN: int
 
     def __post_init__(self):
-        for name in ("V", "S", "K", "FN"):
+        for name in ("V", "S", "K"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 0:
                 raise ParameterError(f"{name} must be a nonnegative integer")
-        if self.S > self.K or self.FN != self.K - self.S:
-            raise ParameterError("need S <= K and FN = K - S")
+        if self.S > self.K:
+            raise ParameterError("need S <= K")
+
+    @property
+    def FN(self) -> int:
+        return self.K - self.S
 
     @property
     def num_rejected(self) -> int:
@@ -157,18 +162,12 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     if crit is None:
         return RejectionResult(
             rejected=np.zeros(m, dtype=bool),
-            num_rejected=0,
             realized_threshold_sq=bonferroni_threshold(m, alpha),
         )
-    rejected = arr <= crit
     # Map the critical p-value back to the |Z| scale; a p-value that
     # underflowed to exactly 0 is treated as the smallest positive double.
     z = Phi_inv_upper(max(crit / 2.0, 5e-324))
-    return RejectionResult(
-        rejected=rejected,
-        num_rejected=int(rejected.sum()),
-        realized_threshold_sq=ThresholdSq(z * z),
-    )
+    return RejectionResult(rejected=arr <= crit, realized_threshold_sq=ThresholdSq(z * z))
 
 
 def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
@@ -181,12 +180,7 @@ def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
         raise ParameterError("sigma must be a finite positive real")
     c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(float(c_sq))
     z = np.asarray(arr / sigma)  # a numpy scalar for 0-d input; square needs a buffer
-    rejected = np.square(z, out=z) >= float(c_sq)
-    return RejectionResult(
-        rejected=rejected,
-        num_rejected=int(rejected.sum()),
-        realized_threshold_sq=c_sq,
-    )
+    return RejectionResult(rejected=np.square(z, out=z) >= float(c_sq), realized_threshold_sq=c_sq)
 
 
 def bonferroni_threshold(m, alpha: float) -> ThresholdSq:
@@ -237,4 +231,4 @@ def confusion(result: RejectionResult, truth) -> ConfusionCounts:
     k = int(np.count_nonzero(truth_arr))
     s = int(np.count_nonzero(truth_arr[rej]))
     v = result.num_rejected - s
-    return ConfusionCounts(V=v, S=s, K=k, FN=k - s)
+    return ConfusionCounts(V=v, S=s, K=k)

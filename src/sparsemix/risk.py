@@ -43,15 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiskBreakdown:
+    """Type I component r1, type II component r2, and their sum total."""
+
     r1: float
     r2: float
-    total: float
 
     def __post_init__(self):
         if self.r1 < 0.0 or self.r2 < 0.0:
             raise ParameterError("risk components must be >= 0")
-        if abs(self.total - (self.r1 + self.r2)) > 1e-12 * max(1.0, self.total):
-            raise ParameterError("total must equal r1 + r2")
+
+    @property
+    def total(self) -> float:
+        return self.r1 + self.r2
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def fixed_threshold_risk(setting: TestingSetting, c_sq) -> RiskBreakdown:
     m = float(setting.m)
     r1 = m * (1.0 - p) * type1_exact(c_sq) * setting.losses.delta0
     r2 = m * p * type2_exact(c_sq, u) * setting.losses.deltaA
-    return RiskBreakdown(r1=r1, r2=r2, total=r1 + r2)
+    return RiskBreakdown(r1=r1, r2=r2)
 
 
 def optimal_risk_exact(setting: TestingSetting) -> RiskBreakdown:

@@ -40,12 +40,16 @@ def _model(p=0.1, u=3.0, sigma_sq=1.0):
 def test_level_computes_odds():
     level = BfdrLevel(0.05)
     assert level.r_alpha == pytest.approx(0.05 / 0.95, rel=1e-15)
+    for alpha in (1e-300, 1e-3, 0.05, 0.2, 0.5, 0.999):
+        assert BfdrLevel(alpha).r_alpha == alpha / (1.0 - alpha)
 
 
 def test_level_rejects_mismatched_odds():
-    BfdrLevel(0.2, r_alpha=0.25)
-    with pytest.raises(ParameterError):
-        BfdrLevel(0.2, r_alpha=0.26)
+    """The odds are computed from alpha, so none can be passed in."""
+    with pytest.raises(TypeError):
+        BfdrLevel(0.2, r_alpha=0.25)
+    with pytest.raises(TypeError):
+        BfdrLevel(0.2, 0.26)
 
 
 def test_level_domain():
@@ -140,6 +144,27 @@ def test_bfdr_round_trip_extreme_parameters():
         assert bfdr_of_threshold(model, c_sq) == pytest.approx(alpha, abs=1e-11)
 
 
+def test_bisection_narrows_until_the_level_is_met():
+    """Where the BFDR is steep in c, a bracket of relative width 1e-13 can
+    still miss the level by more than 1e-11; the solvers keep bisecting."""
+    p, u, alpha = 3.6655368972165453e-293, 1.6791230847465808, 0.26004757262853156
+    model = _model(p=p, u=u)
+    c_sq = bfdr_threshold(model, BfdrLevel(alpha))
+    assert abs(bfdr_of_threshold(model, c_sq) - alpha) <= 1e-11
+    gw = gw_threshold(model, BfdrLevel(alpha))
+    want = bfdr_threshold(model, BfdrLevel(alpha * (1.0 - p)))
+    assert float(gw) == pytest.approx(float(want), abs=1e-10)
+
+
+def test_bisection_raises_when_no_midpoint_meets_the_level():
+    """Here neighbouring |Z|-scale midpoints straddle the level by more than
+    1e-11 each, so no threshold within the tolerance is returned."""
+    model = _model(p=1.0231857490965871e-254, u=0.0015606930069462827)
+    for solver in (bfdr_threshold, gw_threshold):
+        with pytest.raises(ParameterError, match="1e-11 level tolerance"):
+            solver(model, BfdrLevel(0.28743590949794257))
+
+
 # -----------------------------------------------------------------------
 # GW fixed point.
 
@@ -184,7 +209,7 @@ def test_gw_frozen_value():
 def test_bfdr_threshold_expansion_hand_value():
     """f/r_alpha = e^10, D = 1: 20 - log 20 + log(2/pi) = 16.5528."""
     level = BfdrLevel(0.5)  # r_alpha = 1
-    consts = AsymptoticConstants.from_limit(0.0)
+    consts = AsymptoticConstants(0.0)
     c_sq = bfdr_threshold_asymptotic(math.exp(10.0), level, consts)
     assert float(c_sq) == pytest.approx(20.0 - math.log(20.0) + math.log(2.0 / math.pi), rel=1e-14)
     assert float(c_sq) == pytest.approx(16.552685021156554, rel=1e-13)
@@ -193,11 +218,11 @@ def test_bfdr_threshold_expansion_hand_value():
 def test_bfdr_threshold_expansion_d_dependence():
     """Halving D (raising C) adds 2 log 2 to the expansion."""
     level = BfdrLevel(0.5)
-    base = AsymptoticConstants.from_limit(0.0)
+    base = AsymptoticConstants(0.0)
     # D = 1/2 corresponds to C = (Phi^{-1}(3/4))^2.
     from sparsemix import Phi_inv
 
-    halved = AsymptoticConstants.from_limit(Phi_inv(0.75) ** 2)
+    halved = AsymptoticConstants(Phi_inv(0.75) ** 2)
     assert halved.D == pytest.approx(0.5, abs=1e-12)
     lo = bfdr_threshold_asymptotic(math.exp(10.0), level, base)
     hi = bfdr_threshold_asymptotic(math.exp(10.0), level, halved)
@@ -208,7 +233,7 @@ def test_bfdr_threshold_expansion_tracks_exact():
     """Exact threshold minus the expansion -> 0 along fixed alpha, u = 2 log m,
     p = m^{-1/2}, delta = 1/log m."""
     level = BfdrLevel(0.1)
-    consts = AsymptoticConstants.from_limit(0.5)  # 2 kappa / beta with kappa=1/2, beta=2
+    consts = AsymptoticConstants(0.5)  # 2 kappa / beta with kappa=1/2, beta=2
     gaps = []
     for k in (4, 6, 8, 10, 12):
         m = 10.0**k
@@ -223,16 +248,16 @@ def test_bfdr_threshold_expansion_tracks_exact():
 
 def test_bfdr_threshold_expansion_domain():
     level = BfdrLevel(0.5)
-    consts = AsymptoticConstants.from_limit(0.0)
+    consts = AsymptoticConstants(0.0)
     with pytest.raises(ParameterError):
         bfdr_threshold_asymptotic(2.0, level, consts)  # f/r_alpha barely above 1
 
 
 def test_oracle_bfdr_asymptotic_hand_value():
     """C=0 (D=1), t = 100: sqrt(2/pi)/100."""
-    d = DerivedParams(u=100.0, f=10.0, delta=1.0, v=100.0 * 100.0)
+    d = DerivedParams(u=100.0, f=10.0, delta=1.0)
     scale = d.t_uvd
-    consts = AsymptoticConstants.from_limit(0.0)
+    consts = AsymptoticConstants(0.0)
     value = oracle_bfdr_asymptotic(d, consts)
     assert value == pytest.approx(math.sqrt(2.0 / math.pi) / scale, rel=1e-14)
     # And the pinned magnitude at t = 100 exactly:
@@ -241,14 +266,14 @@ def test_oracle_bfdr_asymptotic_hand_value():
 
 def test_oracle_bfdr_asymptotic_tracks_exact():
     """BFDR of the oracle over its leading term -> 1 along a fixed-C regime."""
-    consts = AsymptoticConstants.from_limit(1.0)
+    consts = AsymptoticConstants(1.0)
     ratios = []
     for k in (4, 8, 12, 16):
         m = 10.0**k
         p = 1.0 / m
         u = 2.0 * math.log(m)
         model = _model(p=p, u=u)
-        d = DerivedParams(u=u, f=model.f, delta=1.0, v=u * model.f**2)
+        d = DerivedParams(u=u, f=model.f, delta=1.0)
         c_sq = oracle_threshold_sq(u, log_v=d.log_v)
         ratios.append(bfdr_of_threshold(model, c_sq) / oracle_bfdr_asymptotic(d, consts))
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
@@ -256,7 +281,7 @@ def test_oracle_bfdr_asymptotic_tracks_exact():
 
 
 def test_oracle_bfdr_finite_limit():
-    consts = AsymptoticConstants.from_limit(0.0)
+    consts = AsymptoticConstants(0.0)
     assert oracle_bfdr_asymptotic_finite(consts, 0.0) == 1.0
     value = oracle_bfdr_asymptotic_finite(consts, 2.0)
     assert value == pytest.approx(1.0 / (1.0 + math.sqrt(math.pi / 2.0) * 2.0), rel=1e-14)
@@ -270,7 +295,7 @@ def test_oracle_bfdr_finite_limit():
 
 def test_bfdr_diagnostics_matched_scale_is_zero():
     """r_alpha = 1/(delta sqrt(u)) makes s_t vanish identically."""
-    d = DerivedParams(u=16.0, f=1000.0, delta=0.5, v=16.0 * 1000.0**2 * 0.25)
+    d = DerivedParams(u=16.0, f=1000.0, delta=0.5)
     r_alpha = 1.0 / (d.delta * math.sqrt(d.u))
     alpha = r_alpha / (1.0 + r_alpha)
     diag = bfdr_optimality_diagnostics(d, BfdrLevel(alpha))
@@ -282,7 +307,7 @@ def test_bfdr_diagnostics_hand_value():
     u = 4.0
     delta = math.e / 2.0  # delta sqrt(u) = e
     f = math.exp(10.0)
-    d = DerivedParams(u=u, f=f, delta=delta, v=u * f * f * delta * delta)
+    d = DerivedParams(u=u, f=f, delta=delta)
     diag = bfdr_optimality_diagnostics(d, BfdrLevel(0.5))  # r_alpha = 1
     assert diag.s_t == pytest.approx(0.1, rel=1e-12)
 
@@ -298,7 +323,7 @@ def test_bfdr_diagnostics_trends():
         u = 2.0 * math.log(m)
         delta = 1.0 / math.log(m)
         f = (1.0 - p) / p
-        d = DerivedParams(u=u, f=f, delta=delta, v=u * f * f * delta * delta)
+        d = DerivedParams(u=u, f=f, delta=delta)
         diag = bfdr_optimality_diagnostics(d, level)
         s_ts.append(diag.s_t)
         conds.append(diag.cond_w2)
@@ -308,7 +333,7 @@ def test_bfdr_diagnostics_trends():
 
 
 def test_bfdr_diagnostics_domain():
-    d = DerivedParams(u=1.0, f=1.5, delta=1.0, v=1.5**2)
+    d = DerivedParams(u=1.0, f=1.5, delta=1.0)
     with pytest.raises(ParameterError):
         bfdr_optimality_diagnostics(d, BfdrLevel(0.7))  # f/r_alpha < 1
 

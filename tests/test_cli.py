@@ -21,6 +21,7 @@ import pytest
 import scipy
 
 import sparsemix
+import sparsemix.cli as cli
 from sparsemix import (
     CONVERGENCE_COLUMNS,
     BfdrRule,
@@ -457,6 +458,71 @@ def test_unwritable_out_is_exit_one(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_threshold_where_the_bfdr_is_steep(capsys):
+    """A point where a 1e-13-wide bracket alone missed the level by more than
+    1e-11, so both solvers used to exit 1."""
+    code, out, err = run_cli(
+        capsys, "threshold", "--bfdr", "--gw", "--p", "3.6655368972165453e-293",
+        "--u", "1.6791230847465808", "--alpha", "0.26004757262853156",
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["bfdr", "gw"]
+    assert grab(lines[1], "c_sq") == pytest.approx(2150.5198507522805, rel=1e-12)
+
+
+# -----------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run_cli(capsys, "threshold", "--universal", "--m", "100")[0] == 0
+    assert run_cli(capsys, "risk", "--p", "0.1", "--u", "3")[0] == 0
+    assert len(built) == 1
+
+
+GOOD_ARGV = ["threshold", "--oracle", "--bfdr", "--p", "0.1", "--u", "3", "--alpha", "0.05"]
+
+
+@pytest.mark.parametrize("bad", [
+    ["risk", "--nope"],
+    ["convergence", "--preset", "no_such_preset"],
+    ["threshold", "--p", "0.1", "--u", "3"],
+    ["threshold", "--bfdr", "--p", "0.1", "--u", "3"],
+    ["simulate", "--reps", "many"],
+])
+def test_parser_after_an_error_parses_like_a_fresh_one(monkeypatch, capsys, bad):
+    monkeypatch.setattr(cli, "_parser", None)
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    error = capsys.readouterr()
+    after_error = run_cli(capsys, *GOOD_ARGV)
+    with pytest.raises(SystemExit):
+        main(bad)
+    assert capsys.readouterr() == error
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run_cli(capsys, *GOOD_ARGV) == after_error
+
+
+def test_flags_do_not_carry_over_between_calls(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run_cli(capsys, *GOOD_ARGV)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--bfdr", "--p", "0.1", "--u", "3"])  # no --alpha this time
+    assert exc.value.code == 2
+    assert "--alpha is required" in capsys.readouterr().err
 
 
 # -----------------------------------------------------------------------

@@ -152,20 +152,32 @@ def test_regime_verge_validation():
 
 
 def test_regime_point_rejects_inconsistent_derived():
+    """derived and c_finite are computed from the point, so neither can be
+    passed in, and they cannot disagree with it."""
     u, p, delta = 10.0, 0.01, 1.0
-    f = (1.0 - p) / p
-    good = DerivedParams(u=u, f=f, delta=delta, v=u * f * f)
-    consts = AsymptoticConstants.from_limit(1.0)
-    RegimePoint(
-        m=100.0, p=p, u=u, delta=delta,
-        derived=good, consts=consts, c_finite=good.log_v / u,
-    )
-    bad = DerivedParams(u=u, f=2.0 * f, delta=delta, v=u * 4.0 * f * f)
-    with pytest.raises(ParameterError):
-        RegimePoint(
-            m=100.0, p=p, u=u, delta=delta,
-            derived=bad, consts=consts, c_finite=bad.log_v / u,
-        )
+    consts = AsymptoticConstants(1.0)
+    point = RegimePoint(m=100.0, p=p, u=u, delta=delta, consts=consts)
+    assert point.derived == DerivedParams(u=u, f=(1.0 - p) / p, delta=delta)
+    for extra in ({"derived": point.derived}, {"c_finite": point.c_finite}):
+        with pytest.raises(TypeError):
+            RegimePoint(m=100.0, p=p, u=u, delta=delta, consts=consts, **extra)
+
+
+def test_regime_point_fields_follow_their_formulas():
+    for name in PRESET_NAMES:
+        for pt in preset(name)[0].points():
+            f = (1.0 - pt.p) / pt.p
+            assert (pt.derived.u, pt.derived.f, pt.derived.delta) == (pt.u, f, pt.delta)
+            assert pt.derived.v == pt.u * f * f * pt.delta * pt.delta
+            assert pt.c_finite == pt.derived.log_v / pt.u
+            assert pt.derived is pt.derived  # computed once
+
+
+def test_regime_point_rejects_an_overflowing_f():
+    """p = 1e-310 is a positive double, but f = (1-p)/p overflows."""
+    regime = regime_verge(2.0, ExtremeSparsity(s=1e-300), ConstantDelta(), t_grid=(1e10,))
+    with pytest.raises(ParameterError, match="f must be"):
+        regime.points()
 
 
 def test_regime_keeps_p_at_extreme_m():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sparsemix
 from sparsemix import (
     AsymptoticConstants,
     DerivedParams,
@@ -20,7 +21,6 @@ from sparsemix import (
     oracle_threshold_sq,
     oracle_threshold_sq_raw,
     sample,
-    sample_with_means,
     type1_asymptotic,
     type1_exact,
     type2_asymptotic,
@@ -65,12 +65,13 @@ def test_mixture_model_validation():
 
 
 def test_mixture_model_variance_decomposition():
-    model = MixtureModel(p=0.1, sigma_sq=2.0, tau_sq=1.0, sigma0_sq=0.5, sigma_eps_sq=1.5)
-    assert model.sigma_sq == 2.0
-    with pytest.raises(ParameterError):
-        MixtureModel(p=0.1, sigma_sq=2.0, tau_sq=1.0, sigma0_sq=0.5, sigma_eps_sq=1.0)
-    with pytest.raises(ParameterError):
+    """Only the total null variance sigma^2 = sigma0^2 + sigma_eps^2 is a
+    parameter: the risk depends on the X-marginal alone."""
+    with pytest.raises(TypeError):
+        MixtureModel(p=0.1, sigma_sq=2.0, tau_sq=1.0, sigma0_sq=0.5, sigma_eps_sq=1.5)
+    with pytest.raises(TypeError):
         MixtureModel(p=0.1, sigma_sq=2.0, tau_sq=1.0, sigma0_sq=0.5)
+    assert not hasattr(sparsemix, "sample_with_means")
 
 
 def test_losses_delta():
@@ -126,31 +127,54 @@ def test_derive_asymmetric_losses():
 
 
 def test_derived_params_consistency_enforced():
-    with pytest.raises(ParameterError):
+    """v is computed from u, f and delta, so it cannot disagree with them."""
+    with pytest.raises(TypeError):
         DerivedParams(u=4.0, f=1.0, delta=1.0, v=5.0)
+    for u, f, delta in ((4.0, 1.0, 1.0), (9.0, 99.0, 2.0), (0.3, 1e-3, 7.5), (100.0, 1e160, 1.0)):
+        assert DerivedParams(u=u, f=f, delta=delta).v == u * f * f * delta * delta
+
+
+def test_derived_params_rejects_what_it_rejected():
+    for u, f, delta in ((math.inf, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (1.0, math.nan, 1.0)):
+        with pytest.raises(ParameterError):
+            DerivedParams(u=u, f=f, delta=delta)
+    with pytest.raises(ParameterError, match="underflows"):
+        DerivedParams(u=1e-100, f=1e-100, delta=1e-100)  # v underflows to 0
 
 
 def test_log_v_never_overflows():
     """Extreme sparsity drives v past the float range; log_v must survive."""
-    d = DerivedParams(u=100.0, f=1e160, delta=1.0, v=math.inf)
+    d = DerivedParams(u=100.0, f=1e160, delta=1.0)
+    assert d.v == math.inf
     assert d.log_v == pytest.approx(math.log(100.0) + 2.0 * 160.0 * math.log(10.0), rel=1e-14)
 
 
 def test_t_uvd():
-    d = DerivedParams(u=4.0, f=10.0, delta=1.0, v=400.0)
+    d = DerivedParams(u=4.0, f=10.0, delta=1.0)
     assert d.t_uvd == pytest.approx(math.sqrt(4.0 * math.log(400.0)), rel=1e-14)
-    small = DerivedParams(u=1.0, f=0.5, delta=1.0, v=0.25)
+    small = DerivedParams(u=1.0, f=0.5, delta=1.0)
     with pytest.raises(ParameterError):
         small.t_uvd
 
 
 def test_asymptotic_constants_pairing():
-    consts = AsymptoticConstants.from_limit(1.0)
-    assert consts.D == pytest.approx(2.0 * Phi_tail(1.0), abs=1e-15)
-    with pytest.raises(ParameterError):
+    """D is computed from C, so the pair cannot disagree."""
+    for C in (0.0, 0.5, 1.0, 7.25, 1400.0):
+        assert AsymptoticConstants(C).D == 2.0 * Phi_tail(math.sqrt(C))
+    assert AsymptoticConstants(0.0).D == 1.0
+    with pytest.raises(TypeError):
         AsymptoticConstants(C=1.0, D=0.5)
-    with pytest.raises(ParameterError):
-        AsymptoticConstants.from_limit(-0.5)
+    assert not hasattr(AsymptoticConstants, "from_limit")
+    consts = AsymptoticConstants(2)
+    assert consts.C == 2.0 and isinstance(consts.C, float)
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            AsymptoticConstants(bad)
+
+
+def test_asymptotic_constants_reject_an_underflowing_power():
+    with pytest.raises(ParameterError, match="underflows"):
+        AsymptoticConstants(5000.0)
 
 
 # -----------------------------------------------------------------------
@@ -254,7 +278,7 @@ def test_error_rates_reject_negative_threshold():
 
 
 def test_type1_asymptotic_hand_value():
-    consts = AsymptoticConstants.from_limit(0.0)
+    consts = AsymptoticConstants(0.0)
     assert type1_asymptotic(math.e, consts) == pytest.approx(math.sqrt(2.0 / (math.pi * math.e)), rel=1e-14)
     assert type1_asymptotic(math.e, consts) == pytest.approx(0.48394, abs=1e-5)
 
@@ -262,14 +286,14 @@ def test_type1_asymptotic_hand_value():
 def test_type1_asymptotic_c_dependence():
     """Raising C by 2 multiplies the leading term by e^{-1} at fixed v."""
     v = math.e
-    at0 = type1_asymptotic(v, AsymptoticConstants.from_limit(0.0))
-    at2 = type1_asymptotic(v, AsymptoticConstants.from_limit(2.0))
+    at0 = type1_asymptotic(v, AsymptoticConstants(0.0))
+    at2 = type1_asymptotic(v, AsymptoticConstants(2.0))
     assert at2 / at0 == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_type1_asymptotic_tracks_exact():
     """Exact t1 at the oracle threshold over approx -> 1 along fixed C = 0."""
-    consts = AsymptoticConstants.from_limit(0.0)
+    consts = AsymptoticConstants(0.0)
     ratios = []
     for log_v in (10.0, 20.0, 40.0):
         u = math.exp(math.sqrt(log_v))  # u grows much faster than log v: C -> 0
@@ -280,13 +304,13 @@ def test_type1_asymptotic_tracks_exact():
 
 def test_type1_asymptotic_requires_v_above_one():
     with pytest.raises(ParameterError):
-        type1_asymptotic(1.0, AsymptoticConstants.from_limit(0.0))
+        type1_asymptotic(1.0, AsymptoticConstants(0.0))
 
 
 def test_type2_asymptotic_values():
-    on_verge = AsymptoticConstants.from_limit(1.0)
+    on_verge = AsymptoticConstants(1.0)
     assert type2_asymptotic(5.0, 100.0, on_verge) == pytest.approx(0.682689, abs=1e-6)
-    at_zero = AsymptoticConstants.from_limit(0.0)
+    at_zero = AsymptoticConstants(0.0)
     assert type2_asymptotic(100.0, math.exp(10.0), at_zero) == pytest.approx(0.252313, abs=1e-6)
     assert type2_asymptotic(100.0, math.exp(10.0), at_zero) == pytest.approx(
         math.sqrt(20.0 / (100.0 * math.pi)), rel=1e-14
@@ -294,7 +318,7 @@ def test_type2_asymptotic_values():
 
 
 def test_type2_asymptotic_c0_vanishes_in_u():
-    at_zero = AsymptoticConstants.from_limit(0.0)
+    at_zero = AsymptoticConstants(0.0)
     values = [type2_asymptotic(u, math.exp(10.0), at_zero) for u in (1e2, 1e4, 1e6)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 0.01
@@ -364,28 +388,3 @@ def test_sample_degenerate_p():
 def test_sample_requires_integer_m():
     with pytest.raises(ParameterError):
         sample(_setting(m=10.5), 0)
-
-
-def test_sample_with_means_marginal_matches():
-    """The X-marginal of the mean-level sampler agrees with the plain one
-    in distribution: same variance under null and alternative."""
-    setting = TestingSetting(
-        model=MixtureModel(p=0.5, sigma_sq=2.0, tau_sq=3.0, sigma0_sq=0.5, sigma_eps_sq=1.5),
-        losses=Losses(1.0, 1.0),
-        m=200000,
-    )
-    truth, mu, x = sample_with_means(setting, 9)
-    null_var = x[~truth].var()
-    alt_var = x[truth].var()
-    assert null_var == pytest.approx(2.0, rel=0.02)
-    assert alt_var == pytest.approx(5.0, rel=0.02)
-    # The latent means persist into X: conditional on mu, X centers there.
-    resid_var = (x - mu).var()
-    assert resid_var == pytest.approx(1.5, rel=0.02)
-
-
-def test_sample_with_means_defaults_to_pure_noise():
-    setting = _setting(p=0.3, m=50000)
-    truth, mu, x = sample_with_means(setting, 4)
-    assert np.all(mu[~truth] == 0.0)
-    assert mu[truth].var() == pytest.approx(3.0, rel=0.1)

@@ -168,12 +168,26 @@ def test_fixed_threshold_boundary_tie_rejected():
 
 
 def test_rejection_result_count_check():
-    with pytest.raises(ParameterError):
+    """The count is read off the mask, so a wrong one cannot be passed in."""
+    with pytest.raises(TypeError):
         RejectionResult(
             rejected=np.array([True, False]),
             num_rejected=2,
             realized_threshold_sq=ThresholdSq(1.0),
         )
+    result = RejectionResult(rejected=[1, 0, 2, 0], realized_threshold_sq=ThresholdSq(1.0))
+    assert result.rejected.dtype == bool
+    assert result.num_rejected == int(result.rejected.sum()) == 2
+    assert type(result.num_rejected) is int
+
+
+def test_rejection_count_is_taken_from_the_mask_once():
+    rejected = np.array([True, False, True])
+    result = RejectionResult(rejected=rejected, realized_threshold_sq=ThresholdSq(1.0))
+    assert "num_rejected" not in vars(result)
+    assert result.num_rejected == 2
+    result.rejected[:] = False  # the count is not taken again
+    assert result.num_rejected == 2
 
 
 # -----------------------------------------------------------------------
@@ -260,7 +274,6 @@ def test_confusion_nothing_happens():
 def test_confusion_hand_example():
     result = RejectionResult(
         rejected=np.array([True, True, False]),
-        num_rejected=2,
         realized_threshold_sq=ThresholdSq(1.0),
     )
     counts = confusion(result, np.array([True, False, False]))
@@ -277,17 +290,20 @@ def test_confusion_all_rejected_all_true():
 
 
 def test_confusion_loss():
-    counts = ConfusionCounts(V=3, S=2, K=6, FN=4)
+    counts = ConfusionCounts(V=3, S=2, K=6)
+    assert counts.FN == 4
     assert counts.loss(Losses(delta0=2.0, deltaA=0.5)) == pytest.approx(3 * 2.0 + 4 * 0.5)
 
 
 def test_confusion_counts_validation():
     with pytest.raises(ParameterError):
-        ConfusionCounts(V=0, S=2, K=1, FN=0)  # more true rejections than signals
+        ConfusionCounts(V=0, S=2, K=1)  # more true rejections than signals
+    with pytest.raises(TypeError):
+        ConfusionCounts(V=0, S=1, K=2, FN=0)  # FN is K - S, not an input
     with pytest.raises(ParameterError):
-        ConfusionCounts(V=0, S=1, K=2, FN=0)  # FN must be K - S
+        ConfusionCounts(V=-1, S=0, K=0)
     with pytest.raises(ParameterError):
-        ConfusionCounts(V=-1, S=0, K=0, FN=0)
+        ConfusionCounts(V=0, S=0.5, K=1)
 
 
 def test_confusion_shape_mismatch():
@@ -303,11 +319,7 @@ def test_confusion_random_sweep_consistency():
         m = rng.integers(1, 50)
         rejected = rng.random(m) < 0.3
         truth = rng.random(m) < 0.4
-        result = RejectionResult(
-            rejected=rejected,
-            num_rejected=int(rejected.sum()),
-            realized_threshold_sq=ThresholdSq(1.0),
-        )
+        result = RejectionResult(rejected=rejected, realized_threshold_sq=ThresholdSq(1.0))
         counts = confusion(result, truth)
         assert counts.V + counts.S == result.num_rejected
         assert counts.S <= counts.K

@@ -31,11 +31,15 @@ def _setting(p=0.1, u=3.0, delta0=1.0, deltaA=1.0, m=1.0, sigma_sq=1.0):
 
 
 def test_risk_breakdown_consistency():
-    RiskBreakdown(r1=0.1, r2=0.2, total=0.3)
+    """total is computed as r1 + r2, so it cannot be passed in."""
+    for r1, r2 in ((0.1, 0.2), (0.0, 0.0), (1e300, 1e300), (3.5e-7, 12.25)):
+        assert RiskBreakdown(r1=r1, r2=r2).total == r1 + r2
+    with pytest.raises(TypeError):
+        RiskBreakdown(r1=0.1, r2=0.2, total=0.3)
     with pytest.raises(ParameterError):
-        RiskBreakdown(r1=0.1, r2=0.2, total=0.4)
+        RiskBreakdown(r1=-0.1, r2=0.2)
     with pytest.raises(ParameterError):
-        RiskBreakdown(r1=-0.1, r2=0.2, total=0.1)
+        RiskBreakdown(r1=0.1, r2=-0.2)
 
 
 def test_fixed_threshold_risk_hand_value():
@@ -107,7 +111,7 @@ def test_optimal_risk_asymptotic_c0():
     target_delta = math.exp((10.0 - math.log(d.u) - 2.0 * math.log(d.f)) / 2.0)
     setting = _setting(p=0.01, u=100.0, m=1000.0, delta0=target_delta)
     assert derive(setting).log_v == pytest.approx(10.0, abs=1e-12)
-    value = optimal_risk_asymptotic(setting, AsymptoticConstants.from_limit(0.0))
+    value = optimal_risk_asymptotic(setting, AsymptoticConstants(0.0))
     assert value == pytest.approx(1000.0 * 0.01 * 0.252313, abs=2e-4)
     assert value == pytest.approx(2.52313, abs=2e-3)
 
@@ -115,13 +119,13 @@ def test_optimal_risk_asymptotic_c0():
 def test_optimal_risk_asymptotic_verge():
     """C > 0: risk -> m p deltaA (2 Phi(sqrt(C)) - 1)."""
     setting = _setting(p=0.05, u=20.0, deltaA=1.0, m=100.0)
-    value = optimal_risk_asymptotic(setting, AsymptoticConstants.from_limit(1.0))
+    value = optimal_risk_asymptotic(setting, AsymptoticConstants(1.0))
     assert value == pytest.approx(100.0 * 0.05 * 0.682689, abs=1e-4)
 
 
 def test_optimal_risk_asymptotic_tracks_exact():
     """exact / asymptotic -> 1 along u = 2 log m, p = 1/m (C = 1)."""
-    consts = AsymptoticConstants.from_limit(1.0)
+    consts = AsymptoticConstants(1.0)
     ratios = []
     for k in (4, 8, 12, 16):
         m = 10.0**k
@@ -133,7 +137,7 @@ def test_optimal_risk_asymptotic_tracks_exact():
 
 def test_optimal_risk_asymptotic_requires_v_above_one():
     with pytest.raises(ParameterError):
-        optimal_risk_asymptotic(_setting(p=0.5, u=1.0), AsymptoticConstants.from_limit(0.0))
+        optimal_risk_asymptotic(_setting(p=0.5, u=1.0), AsymptoticConstants(0.0))
 
 
 def test_risk_ratio_oracle_is_one():
