@@ -116,7 +116,9 @@ def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
     then bisects the |Z|-scale bracket.  It returns a midpoint once the
     bracket is down to ~1e-13 relative width and |fn(mid) - target| <= 1e-11,
     and raises if no midpoint gets there: where fn is steep, a narrow
-    bracket alone does not put fn within the tolerance.
+    bracket alone does not put fn within the tolerance.  Once the bracket
+    is two adjacent doubles the midpoint rounds to one of them; the other is
+    then the last candidate, returned if it meets the level.
     """
     hi = max(hi_start, 1.0)
     for _ in range(200):
@@ -131,6 +133,11 @@ def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
         value = fn(mid)
         if hi - lo <= 1e-13 * max(1.0, hi) and abs(value - target) <= 1e-11:
             return mid
+        if mid in (lo, hi):
+            other = hi if mid == lo else lo
+            if abs(fn(other) - target) <= 1e-11:
+                return other
+            break
         if value > target:
             lo = mid
         else:

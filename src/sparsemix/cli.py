@@ -10,7 +10,10 @@ Identical invocations produce byte-identical CSV regardless of worker
 count — parallelism never touches streams or reduction order.
 
 Exit codes: 0 success; 1 domain errors (module messages surfaced verbatim)
-and unwritable outputs; 2 flag or config-schema errors (with field path).
+and unwritable outputs; 2 flag or config-schema errors (with field path),
+including requests beyond MAX_M tests sampled, MAX_REPS replicates or
+MAX_GRID_POINTS convergence grid points, which are refused before anything
+is allocated.
 
 Config files are single JSON documents mirroring the flags; flags override
 config fields.  See the README for the schema and the documented CSV
@@ -54,6 +57,16 @@ from .risk import fixed_threshold_risk
 from .rules import _BY_KIND, BhRule, fill_rule, rule_from_config, rule_to_config
 
 __all__ = ["main", "build_parser", "ConfigError"]
+
+# Bounds on what one invocation may ask for.  A Monte-Carlo replicate in
+# flight holds about 9 bytes per test (up to about 17 for the step-up rule
+# at levels near 1), and a run keeps six floats per replicate, so at the
+# bounds a run needs up to 1.7 GB per worker for its draws and 48 MB for
+# its statistics.  Exact-mode grid points need no sampling, so only the
+# grid length bounds them.
+MAX_M = 10**8
+MAX_REPS = 10**6
+MAX_GRID_POINTS = 1000
 
 _RULE_KINDS = tuple(_BY_KIND)
 _SIMULATE_COLUMNS = ("stat", "mean", "std_error", "reps")
@@ -162,6 +175,11 @@ def _field(cfg: dict, key: str, kind: type, prefix: str = "", default=None):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{prefix}{key}", f"must be {noun}")
     return kind(value)
+
+
+def _at_most(path: str, value, bound: int, noun: str) -> None:
+    if value > bound:
+        raise ConfigError(path, f"at most {bound:g} {noun} allowed, got {value:g}")
 
 
 def _flag_or_field(args, cfg: dict, key: str, kind: type, default=None):
@@ -319,6 +337,7 @@ def _preset_and_rule(cfg: dict, args, echo: dict):
 def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOptions, str | None]:
     """Replicates, seed and workers, and the output path; all echoed."""
     reps = _flag_or_field(args, cfg, "reps", int, default=default_reps)
+    _at_most("reps", reps, MAX_REPS, "replicates")
     seed = _flag_or_field(args, cfg, "seed", int, default=0)
     workers = _flag_or_field(args, cfg, "workers", int)
     out = _flag_or_field(args, cfg, "out", str)
@@ -432,6 +451,7 @@ def cmd_simulate(args) -> int:
         rule = _build_rule(_field(cfg, "rule", dict, default={}), args)
         if rule is None:
             raise ConfigError("rule.kind", "required without a preset")
+    _at_most("m", setting.m, MAX_M, "tests")
     mc, out = _run_options(cfg, args, 1000, echo)
     echo.update(setting=_setting_echo(setting), rule=rule_to_config(rule))
     report = mc_run(setting, rule, mc.reps, mc.seed, workers=mc.workers)
@@ -462,9 +482,12 @@ def cmd_convergence(args) -> int:
     if grid is not None:
         regime = replace(regime, t_grid=tuple(float(g) for g in grid))
         echo["grid"] = [float(g) for g in grid]
+    _at_most("grid", len(regime.t_grid), MAX_GRID_POINTS, "points")
     mode = _flag_or_field(args, cfg, "mode", str)
     if mode is None:
         mode = "mc" if isinstance(rule, BhRule) else "exact"
+    if mode == "mc":
+        _at_most("grid", max(point.m for point in regime.points()), MAX_M, "tests per point")
     mc, out = _run_options(cfg, args, 400, echo)
     echo.update(rule=rule_to_config(rule), mode=mode)
     rows = run_convergence(regime, rule, mode, mc)

@@ -11,9 +11,14 @@ inside the large per-replicate kernels, so threads give real speedup at
 large m.  At most one thread per usable CPU and per replicate is started,
 whatever the count asked for.  Each thread draws its replicates into one
 float block that the calling thread allocated.  A replicate keeps only the
-indices of its signals once drawn, and the step-up rule turns the
-replicate's own X into its p-values in place, so each replicate in flight
-holds about 9 bytes per test (about 18 for a fixed threshold).
+indices of its signals once drawn, and its decision reads X in chunks,
+leaving it unmodified: a fixed threshold squares X/sigma a chunk at a
+time, and the step-up rule computes p-values for, and sorts, only the
+tests in the |x| tail that can reach a critical value (see
+``procedures.step_up_reject``).  So each replicate in flight holds about
+9 bytes per test: the draw and a rejection mask, plus 8 bytes for each
+test in that tail while the step-up rule decides (about 0.8 per test at
+level 0.1).
 
 Statistic conventions: FDP is V/R with 0/0 := 0; power is the discovered
 proportion S/K among the K true signals (0 when the sample has none); loss
@@ -171,9 +176,8 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
     gw_z = _gap_reference(setting, rule)
     bon_z = math.sqrt(float(bonferroni_threshold(m, rule.alpha))) if gw_z is not None else None
     # Resolve once: a fixed threshold is the same for every replicate, and
-    # resolving may itself be expensive (bisection).  Each x is the
-    # replicate's own, so the step-up rule may overwrite it.
-    decide = _decision(rule, setting, overwrite=True)
+    # resolving may itself be expensive (bisection).
+    decide = _decision(rule, setting)
     loss = np.empty(reps)
     fdp = np.empty(reps)
     any_false = np.empty(reps)

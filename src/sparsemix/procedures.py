@@ -10,6 +10,17 @@ applied, which is what lets simulated procedures be compared against
 analytic thresholds on a common scale.  For the step-up rule with no
 rejections that realized threshold is the Bonferroni one — the first
 critical value it failed to clear.
+
+The step-up rule comes in two forms with the same outcome: ``bh_reject``
+takes the p-values, and ``step_up_reject`` takes the statistics and
+decides on their |x| tail.  Its critical index k is at most the number of
+p-values at or below alpha, and p_(k) <= k alpha / m, so only the tests
+with |x| above the level of the last critical value can be rejected.
+``step_up_reject`` counts those, tightens the level once to the critical
+value of that count, and computes p-values for, and sorts, only the tests
+above it.  The statistics-level rules read x in chunks of ``_CHUNK``
+elements, so beyond x they hold a byte-per-test mask and, for the step-up
+rule, 8 bytes per test above the first level.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ __all__ = [
     "ConfusionCounts",
     "pvalues",
     "bh_reject",
+    "step_up_reject",
     "fixed_threshold_reject",
     "bonferroni_threshold",
     "bonferroni_threshold_asymptotic",
@@ -39,6 +51,13 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# Elements a statistics-level rule reads at a time: its temporaries stay
+# small whatever m is.
+_CHUNK = 1 << 15
+# Relative margin on the tail probability by which a screening level on
+# |x| undercuts the exact one.
+_SLACK = 2.0**-20
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -102,13 +121,33 @@ def pvalues(x, sigma: float, out=None) -> np.ndarray:
     # NaN and inf both make the max non-finite; an empty array has no max.
     if mag.size and not np.isfinite(mag.max()):
         raise ParameterError("x must be finite")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError("sigma must be a finite positive real")
+    _check_sigma(sigma)
     if out is None and mag.ndim == 0:
         # np.abs of a 0-d array is a numpy scalar, which has no buffer for out=.
         return special.erfc(mag / (sigma * _SQRT2))
+    return _tail_pvalues(mag, sigma)
+
+
+def _tail_pvalues(mag: np.ndarray, sigma: float) -> np.ndarray:
+    """erfc(|x| / (sigma sqrt 2)) from |x|, in place: the one formula every
+    p-value here comes from."""
     np.divide(mag, sigma * _SQRT2, out=mag)
     return special.erfc(mag, out=mag)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    # min and max propagate NaN, and an infinity is one of them.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ParameterError("x must be finite")
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ParameterError("sigma must be a finite positive real")
+
+
+def _chunks(n: int):
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
 def _check_level(alpha: float) -> float:
@@ -124,23 +163,34 @@ def _check_m(m, name: str = "m") -> float:
     return mf
 
 
-def _critical_pvalue(arr: np.ndarray, alpha: float) -> float | None:
-    """p_(k) for the largest k with p_(k) <= k alpha / m, or None if no k
-    qualifies.  Its sorted copy is freed on return, before the caller builds
-    the m-length rejection mask."""
-    m = arr.size
-    # Only p-values at or below the last critical value alpha * m / m (which
-    # rounding can put one ulp above alpha) can satisfy p_(i) <= i alpha / m.
-    # They are the smallest ones, so sorting just them keeps their ranks.
-    ordered = arr[arr <= alpha * m / m]
-    ordered.sort()
-    # The critical values i alpha / m, with the same roundings as
-    # alpha * np.arange(1, n + 1) / m, built without further temporaries.
-    crit_values = np.arange(1, ordered.size + 1, dtype=float)
-    crit_values *= alpha
-    crit_values /= m
-    hits = np.nonzero(ordered <= crit_values)[0]
-    return ordered[hits[-1]] if hits.size else None
+def _last_crossing(ordered: np.ndarray, alpha: float, m: int) -> float | None:
+    """p_(k) for the largest k with p_(k) <= k alpha / m, given the smallest
+    p-values in ascending order (every one at or below the level it was cut
+    at), or None if no k qualifies.
+
+    The critical values keep the roundings of alpha * np.arange(1, n + 1) / m.
+    They are built a chunk at a time from the top, where the search ends
+    when most tests qualify.
+    """
+    for hi in range(ordered.size, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        crit_values = np.arange(lo + 1, hi + 1, dtype=float)
+        crit_values *= alpha
+        crit_values /= m
+        hits = np.flatnonzero(ordered[lo:hi] <= crit_values)
+        if hits.size:
+            return float(ordered[lo + hits[-1]])
+    return None
+
+
+def _step_up_threshold(crit: float | None, m: int, alpha: float) -> ThresholdSq:
+    """The realized c^2 of a step-up decision with critical p-value crit."""
+    if crit is None:
+        return bonferroni_threshold(m, alpha)
+    # Map the critical p-value back to the |Z| scale; a p-value that
+    # underflowed to exactly 0 is treated as the smallest positive double.
+    z = Phi_inv_upper(max(crit / 2.0, 5e-324))
+    return ThresholdSq(z * z)
 
 
 def bh_reject(pvals, alpha: float) -> RejectionResult:
@@ -158,29 +208,114 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ParameterError("p-values must lie in [0, 1]")
     m = arr.size
-    crit = _critical_pvalue(arr, alpha)
+    # Only p-values at or below the last critical value alpha * m / m (which
+    # rounding can put one ulp above alpha) can satisfy p_(i) <= i alpha / m.
+    # They are the smallest ones, so sorting just them keeps their ranks.
+    ordered = arr[arr <= alpha * m / m]
+    ordered.sort()
+    crit = _last_crossing(ordered, alpha, m)
+    del ordered  # freed before the m-length mask is built
+    rejected = np.zeros(m, dtype=bool) if crit is None else arr <= crit
+    return RejectionResult(rejected=rejected, realized_threshold_sq=_step_up_threshold(crit, m, alpha))
+
+
+def _screen_cut(t: float, sigma: float) -> float:
+    """A level on |x| that every test with p-value <= t reaches.
+
+    It is the level for a tail probability a relative 2^-20 and a few
+    subnormals above t, a margin far wider than the roundings of erfc, of
+    the quantile and of the scaling, so none of them can leave such a test
+    out.  The few tests it lets in beyond those have p > t; callers decide
+    on exact p-values.
+    """
+    q = 0.5 * t * (1.0 + _SLACK) + 1e-322
+    # A subnormal sigma rounds the p-values' scale by more than the margin.
+    if q >= 0.5 or sigma < _TINY:
+        return 0.0
+    return sigma * float(-special.ndtri(q))
+
+
+def _screen(arr: np.ndarray, cut: float, out: np.ndarray | None = None):
+    """(lo, |x| >= cut) for each chunk of the 1-d x starting at lo, as
+    x >= cut or x <= -cut: no float temporary.  The chunk masks are views of
+    out when it is given (an m-length bool array), else of one reused buffer.
+    """
+    below = np.empty(min(_CHUNK, arr.size), dtype=bool)
+    above = np.empty_like(below) if out is None else None
+    for lo, hi in _chunks(arr.size):
+        chunk = arr[lo:hi]
+        mask = np.greater_equal(chunk, cut, out=above[:hi - lo] if out is None else out[lo:hi])
+        yield lo, np.logical_or(mask, np.less_equal(chunk, -cut, out=below[:hi - lo]), out=mask)
+
+
+def step_up_reject(x, sigma: float, alpha: float) -> RejectionResult:
+    """The step-up procedure at level alpha on statistics x with null scale
+    sigma: the outcome of bh_reject(pvalues(x, sigma), alpha), with the same
+    errors, decided on the |x| tail.
+
+    Three passes read x a chunk at a time:
+    1. count n, the tests at the |x| level of the last critical value
+       alpha * m / m.  The critical index k is at most n.
+    2. keep the tests at the |x| level of t = n alpha / m, the critical value
+       of n; compute their p-values, sort them and find p_(k) among them.
+    3. mark the tests with p <= p_(k), computing p-values only for the tests
+       at its |x| level.
+    x is left unmodified.
+    """
+    arr = np.asarray(x, dtype=float)
+    _check_finite(arr)
+    _check_sigma(sigma)
+    alpha = _check_level(alpha)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError("pvals must be a nonempty 1-d array")
+    m = arr.size
+    first_cut = _screen_cut(alpha * m / m, sigma)
+    n_screened = sum(np.count_nonzero(mask) for _, mask in _screen(arr, first_cut))
+    crit = None
+    if n_screened:
+        t = n_screened * alpha / m
+        # Capped by the first level, the kept tests are at most n_screened.
+        kept = np.empty(n_screened)
+        size = 0
+        for lo, mask in _screen(arr, max(_screen_cut(t, sigma), first_cut)):
+            picked = arr[lo:lo + mask.size][mask]
+            kept[size:size + picked.size] = picked
+            size += picked.size
+        # The few kept p-values above t sort last, and no critical value up
+        # to n_screened exceeds t, so none of them can be p_(k).
+        ordered = pvalues(kept[:size], sigma, out=kept[:size])
+        ordered.sort()
+        crit = _last_crossing(ordered, alpha, m)
+        del kept, ordered  # freed before the m-length mask is built
     if crit is None:
-        return RejectionResult(
-            rejected=np.zeros(m, dtype=bool),
-            realized_threshold_sq=bonferroni_threshold(m, alpha),
-        )
-    # Map the critical p-value back to the |Z| scale; a p-value that
-    # underflowed to exactly 0 is treated as the smallest positive double.
-    z = Phi_inv_upper(max(crit / 2.0, 5e-324))
-    return RejectionResult(rejected=arr <= crit, realized_threshold_sq=ThresholdSq(z * z))
+        rejected = np.zeros(m, dtype=bool)
+    else:
+        rejected = np.empty(m, dtype=bool)
+        for lo, mask in _screen(arr, _screen_cut(crit, sigma), out=rejected):
+            hits = np.flatnonzero(mask)
+            if hits.size:
+                mag = np.abs(arr[lo + hits])
+                mask[hits[_tail_pvalues(mag, sigma) > crit]] = False
+    return RejectionResult(rejected=rejected, realized_threshold_sq=_step_up_threshold(crit, m, alpha))
 
 
 def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
-    """Reject H_i exactly when x_i^2 / sigma^2 >= c^2 (ties rejected)."""
+    """Reject H_i exactly when x_i^2 / sigma^2 >= c^2 (ties rejected).
+
+    x is read a chunk at a time, so the only m-length array made is the mask.
+    """
     arr = np.asarray(x, dtype=float)
-    # min and max propagate NaN, and an infinity is one of them.
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ParameterError("x must be finite")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError("sigma must be a finite positive real")
+    _check_finite(arr)
+    _check_sigma(sigma)
     c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(float(c_sq))
-    z = np.asarray(arr / sigma)  # a numpy scalar for 0-d input; square needs a buffer
-    return RejectionResult(rejected=np.square(z, out=z) >= float(c_sq), realized_threshold_sq=c_sq)
+    bound = float(c_sq)
+    flat = arr.reshape(-1)
+    rejected = np.empty(flat.size, dtype=bool)
+    z = np.empty(min(_CHUNK, flat.size))
+    for lo, hi in _chunks(flat.size):
+        chunk = np.divide(flat[lo:hi], sigma, out=z[:hi - lo])
+        np.greater_equal(np.square(chunk, out=chunk), bound, out=rejected[lo:hi])
+    return RejectionResult(rejected=rejected.reshape(arr.shape), realized_threshold_sq=c_sq)
 
 
 def bonferroni_threshold(m, alpha: float) -> ThresholdSq:

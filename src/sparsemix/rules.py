@@ -23,11 +23,10 @@ from .errors import ParameterError
 from .model import TestingSetting, ThresholdSq, derive, oracle_threshold_sq
 from .procedures import (
     RejectionResult,
-    bh_reject,
     bonferroni_threshold,
     fixed_threshold_reject,
-    pvalues,
     replicate_threshold,
+    step_up_reject,
     universal_threshold,
 )
 
@@ -227,17 +226,16 @@ def threshold_sq(rule: Rule, setting: TestingSetting) -> ThresholdSq:
     raise ParameterError(f"{kind} rule has no fixed threshold; use the Monte-Carlo runner")
 
 
-def _decision(rule: Rule, setting: TestingSetting, *, overwrite: bool = False):
+def _decision(rule: Rule, setting: TestingSetting):
     """Resolve a rule under a setting into x -> RejectionResult, once.
 
-    A fixed rule's threshold is computed here rather than per sample.  With
-    ``overwrite`` the step-up rule turns x into its p-values in place, for
-    callers that own x and need it no further.
+    A fixed rule's threshold is computed here rather than per sample.
+    Neither decision modifies x.
     """
     sigma = setting.model.sigma
     if isinstance(rule, BhRule):
         alpha = _need_alpha(rule)
-        return lambda x: bh_reject(pvalues(x, sigma, out=x if overwrite else None), alpha)
+        return lambda x: step_up_reject(x, sigma, alpha)
     c_sq = threshold_sq(rule, setting)
     return lambda x: fixed_threshold_reject(x, sigma, c_sq)
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsemix import bfdr
 from sparsemix import (
     AsymptoticConstants,
     BfdrLevel,
@@ -156,13 +157,39 @@ def test_bisection_narrows_until_the_level_is_met():
     assert float(gw) == pytest.approx(float(want), abs=1e-10)
 
 
-def test_bisection_raises_when_no_midpoint_meets_the_level():
+def test_bisection_returns_the_endpoint_the_midpoint_cannot_reach():
+    """Once the bracket is two adjacent doubles the midpoint rounds to one of
+    them; here that one misses the level and the other meets it."""
+    target, edge = 0.25, math.nextafter(1.0, 2.0)
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        return target - 5e-12 if z >= edge else target + 2e-11
+
+    assert bfdr._bisect_decreasing(fn, target, edge) == edge
+    assert calls.count(edge) == 2 and len(calls) < 70
+
+
+def test_bisection_raises_when_no_midpoint_meets_the_level(monkeypatch):
     """Here neighbouring |Z|-scale midpoints straddle the level by more than
-    1e-11 each, so no threshold within the tolerance is returned."""
-    model = _model(p=1.0231857490965871e-254, u=0.0015606930069462827)
-    for solver in (bfdr_threshold, gw_threshold):
-        with pytest.raises(ParameterError, match="1e-11 level tolerance"):
-            solver(model, BfdrLevel(0.28743590949794257))
+    1e-11 each, so no threshold within the tolerance is returned.  The
+    solvers raise once the bracket is down to two adjacent doubles, instead
+    of re-evaluating one of them for the remaining halvings."""
+    calls = []
+    for name in ("bfdr_of_threshold", "_gw_value"):
+        original = getattr(bfdr, name)
+        monkeypatch.setattr(bfdr, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    for p, u, alpha in (
+        (1.0231857490965871e-254, 0.0015606930069462827, 0.28743590949794257),
+        (2.614534402199717e-259, 0.0016157884355166715, 0.28142964198422454),
+    ):
+        model = _model(p=p, u=u)
+        for solver in (bfdr_threshold, gw_threshold):
+            calls.clear()
+            with pytest.raises(ParameterError, match="1e-11 level tolerance"):
+                solver(model, BfdrLevel(alpha))
+            assert len(calls) < 70
 
 
 # -----------------------------------------------------------------------

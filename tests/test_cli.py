@@ -24,6 +24,8 @@ import sparsemix
 import sparsemix.cli as cli
 from sparsemix import (
     CONVERGENCE_COLUMNS,
+    DEFAULT_EXACT_GRID,
+    DEFAULT_MC_GRID,
     BfdrRule,
     BonferroniRule,
     GwRule,
@@ -616,3 +618,44 @@ def test_console_script_end_to_end(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     check_simulate_out(tmp_path, capsys, out_path)
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate", "--preset", "bh_fixed_alpha", "--m", "1e15", "--reps", "2"], None,
+         "m: at most 1e+08 tests allowed, got 1e+15"),
+        (["simulate", "--preset", "bh_fixed_alpha", "--m", "100", "--reps", "100000000000000"], None,
+         "reps: at most 1e+06 replicates allowed, got 1e+14"),
+        (["simulate"], {"preset": "bh_fixed_alpha", "m": 1e15, "reps": 2},
+         "m: at most 1e+08 tests allowed, got 1e+15"),
+        (["simulate"], {"setting": {"p": 0.1, "u": 3, "m": 1e9}, "rule": {"kind": "bh", "alpha": 0.1}},
+         "m: at most 1e+08 tests allowed, got 1e+09"),
+        (["simulate"], {"preset": "bh_fixed_alpha", "m": 100, "reps": 10**14},
+         "reps: at most 1e+06 replicates allowed, got 1e+14"),
+        (["convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3,1e15", "--reps", "2"], None,
+         "grid: at most 1e+08 tests per point allowed, got 1e+15"),
+        (["convergence"], {"preset": "lemma_universal", "mode": "mc", "grid": [1e3, 1e12]},
+         "grid: at most 1e+08 tests per point allowed, got 1e+12"),
+        (["convergence", "--preset", "bh_fixed_alpha", "--reps", "10000000"], None,
+         "reps: at most 1e+06 replicates allowed, got 1e+07"),
+        (["convergence"], {"preset": "lemma_universal", "grid": [10.0 ** (2 + k / 100) for k in range(1001)]},
+         "grid: at most 1000 points allowed, got 1001"),
+    ],
+)
+def test_oversized_requests_are_config_errors(tmp_path, capsys, argv, config, message):
+    """m, reps and the grid length are refused beyond their bounds, before
+    any sampling allocates for them."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"config error: {message}"
+
+
+def test_bounds_admit_the_documented_runs():
+    """The README's runs and the exact-mode default grid fit the bounds."""
+    assert cli.MAX_M >= max(DEFAULT_MC_GRID) and cli.MAX_REPS >= 2000
+    assert cli.MAX_GRID_POINTS >= max(len(DEFAULT_EXACT_GRID), len(DEFAULT_MC_GRID))

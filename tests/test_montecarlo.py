@@ -267,20 +267,38 @@ def test_step_up_level_still_required():
         mc_run(_setting(m=50), BhRule(), 4, seed=0, workers=1)
 
 
-def test_step_up_replicate_peak_memory():
-    """One step-up replicate holds its draw (turned into p-values in place)
-    and about a byte-per-test mask; an extra m-length float temporary would
-    add 8 bytes per test and break the bound."""
-    m = 200_000
+def _replicate_peak_bytes_per_test(rule, m=200_000) -> float:
+    """tracemalloc's peak over a one-worker mc_run of two replicates, per test."""
     setting = _setting(p=1e-3, u=2.0 * math.log(m), m=m)
-    mc_run(setting, BhRule(alpha=0.1), 2, seed=0, workers=1)  # warm caches and imports
+    mc_run(setting, rule, 2, seed=0, workers=1)  # warm caches and imports
     tracemalloc.start()
     try:
-        mc_run(setting, BhRule(alpha=0.1), 2, seed=1, workers=1)
+        mc_run(setting, rule, 2, seed=1, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * m
+    return peak / m
+
+
+def test_step_up_replicate_peak_memory():
+    """One step-up replicate holds its draw, the |x| tail it computes
+    p-values for and about a byte-per-test mask; an extra m-length float
+    temporary would add 8 bytes per test and break the bound."""
+    assert _replicate_peak_bytes_per_test(BhRule(alpha=0.1)) <= 9.84
+
+
+@pytest.mark.parametrize("alpha, bound", [(0.5, 16.55), (0.97, 24.82)])
+def test_step_up_replicate_peak_memory_at_high_levels(alpha, bound):
+    """Where most tests are candidates the tail is most of m; the bounds are
+    the peaks of the decision that computed every p-value in place."""
+    assert _replicate_peak_bytes_per_test(BhRule(alpha=alpha)) <= bound
+
+
+@pytest.mark.parametrize("rule", [OracleRule(), UniversalRule()])
+def test_fixed_threshold_replicate_peak_memory(rule):
+    """A fixed-threshold replicate holds its draw and the mask; its quotient
+    x / sigma is formed a chunk at a time, not as an m-length temporary."""
+    assert _replicate_peak_bytes_per_test(rule) <= 11.0
 
 
 # -----------------------------------------------------------------------

@@ -5,9 +5,14 @@ The library sorts only the p-values that can reach a critical value,
 validates each array with a min and a max, and reuses its temporaries;
 the references below sort everything, check with separate passes and
 allocate freely.  Both must agree exactly: the same mask, count and
-realized threshold, and the same errors.
+realized threshold, and the same errors.  The step-up rule on statistics,
+which computes p-values only on the |x| tail, must agree exactly with the
+step-up rule on all of their p-values.  The statistics-level rules are
+checked at their own chunk size and at a chunk of three elements, so
+small inputs cross chunk boundaries too.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -17,8 +22,29 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
-from sparsemix import ParameterError, bh_reject, bonferroni_threshold, fixed_threshold_reject, pvalues
+from sparsemix import (
+    ParameterError,
+    bh_reject,
+    bonferroni_threshold,
+    fixed_threshold_reject,
+    pvalues,
+    step_up_reject,
+)
+from sparsemix import procedures
 from sparsemix.normal import Phi_inv_upper
+
+CHUNK_SIZES = (procedures._CHUNK, 3)
+
+
+@contextlib.contextmanager
+def chunks_of(size):
+    """Statistics-level rules read x `size` elements at a time."""
+    saved = procedures._CHUNK
+    procedures._CHUNK = size
+    try:
+        yield
+    finally:
+        procedures._CHUNK = saved
 
 
 def reference_pvalues(x, sigma):
@@ -230,15 +256,19 @@ def reference_fixed(x, sigma, c_sq):
 def assert_same_fixed(x, sigma, c_sq):
     with np.errstate(over="ignore"):  # x / sigma or its square past the largest double
         kind, expected = outcome(reference_fixed, x, sigma, c_sq)
-        if kind == "error":
-            assert outcome(fixed_threshold_reject, x, sigma, c_sq) == (kind, expected)
-            return
-        got = fixed_threshold_reject(x, sigma, c_sq)
+    if kind == "error":
+        for size in CHUNK_SIZES:
+            with chunks_of(size):
+                assert outcome(fixed_threshold_reject, x, sigma, c_sq) == (kind, expected)
+        return
     want = np.asarray(expected, dtype=bool)
-    assert got.rejected.dtype == bool and got.rejected.shape == want.shape
-    np.testing.assert_array_equal(got.rejected, want)
-    assert got.num_rejected == int(want.sum())
-    assert float(got.realized_threshold_sq) == float(c_sq)
+    for size in CHUNK_SIZES:
+        with chunks_of(size), np.errstate(over="ignore"):
+            got = fixed_threshold_reject(x, sigma, c_sq)
+        assert got.rejected.dtype == bool and got.rejected.shape == want.shape
+        np.testing.assert_array_equal(got.rejected, want)
+        assert got.num_rejected == int(want.sum())
+        assert float(got.realized_threshold_sq) == float(c_sq)
 
 
 @st.composite
@@ -269,3 +299,131 @@ def fixed_inputs(draw):
 @example(([0.5, -3.0], 1.0, math.inf))  # a plain list
 def test_fixed_threshold_matches_reference(case):
     assert_same_fixed(*case)
+
+
+def reference_statistics_step_up(x, sigma, alpha):
+    """The step-up rule on every p-value."""
+    return bh_reject(pvalues(x, sigma), alpha)
+
+
+def assert_same_statistics_step_up(x, sigma, alpha, chunk_sizes=CHUNK_SIZES):
+    before = np.array(x, dtype=float)
+    with np.errstate(over="ignore"):  # |x| / sigma past the largest double
+        kind, expected = outcome(reference_statistics_step_up, x, sigma, alpha)
+        for size in chunk_sizes:
+            with chunks_of(size):
+                got_kind, got = outcome(step_up_reject, x, sigma, alpha)
+            if kind == "error":
+                assert (got_kind, got) == (kind, expected)
+                continue
+            assert got_kind == "ok"
+            assert got.rejected.dtype == bool and got.rejected.shape == expected.rejected.shape
+            np.testing.assert_array_equal(got.rejected, expected.rejected)
+            assert got.num_rejected == expected.num_rejected
+            assert float(got.realized_threshold_sq) == float(expected.realized_threshold_sq)
+    after = np.asarray(x, dtype=float)
+    np.testing.assert_array_equal(after, before)
+    assert np.signbit(after).tolist() == np.signbit(before).tolist()
+
+
+def _ulps_from(value, n):
+    """value moved n ulps away from zero (n > 0) or towards it (n < 0)."""
+    away = math.copysign(math.inf, value) if value else math.inf
+    for _ in range(abs(n)):
+        value = float(np.nextafter(value, away if n > 0 else 0.0))
+    return value
+
+
+@st.composite
+def statistics_step_up_inputs(draw):
+    """Statistics drawn mostly from where the tail decision can go wrong:
+    |x| whose p-value is a critical value k alpha / m, the screening levels
+    at those values, a few ulps either side of both, zero, |x| whose p-value
+    underflows to 0, with both signs and repeats for ties."""
+    m = draw(st.integers(1, 40))
+    alpha = draw(
+        st.one_of(
+            st.floats(1e-6, 1.0 - 1e-9),
+            st.sampled_from([0.05, 0.1, 0.5, 0.949, 0.97, 1.0 - 2.0**-30]),
+        )
+    )
+    sigma = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 2.7, 0.4])))
+    levels = [sigma * Phi_inv_upper(k * alpha / m / 2.0) for k in range(1, m + 1)]
+    levels += [procedures._screen_cut(k * alpha / m, sigma) for k in range(1, m + 1)]
+    special_values = [_ulps_from(level, n) for level in levels for n in (-3, -1, 0, 1, 3)]
+    special_values += [0.0, 40.0 * sigma, 1e300]
+    magnitude = st.one_of(st.sampled_from(special_values), st.floats(0.0, 8.0 * sigma))
+    value = st.builds(lambda v, negative: -v if negative else v, magnitude, st.booleans())
+    x = draw(st.lists(value, min_size=m, max_size=m))
+    return np.array(x), sigma, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(statistics_step_up_inputs())
+@example((np.array([1.0]), 1.0, 0.1))  # m = 1, nothing rejected
+@example((np.array([-40.0]), 1.0, 0.1))  # m = 1, the p-value underflows to 0
+@example((np.array([40.0, -50.0, 0.3]), 2.7, 0.05))  # two underflowed p-values
+@example((np.array([0.0, -0.0, 3.0]), 0.4, 1.0 - 2.0**-30))  # alpha one ulp-ish below 1
+@example((np.full(7, 1.6448536269514722), 1.0, 0.1))  # p == alpha for every test
+def test_step_up_on_statistics_matches_reference(case):
+    assert_same_statistics_step_up(*case)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.5, 0.97])
+def test_step_up_on_all_null_draws_matches_reference(seed, alpha):
+    """Only nulls: for most levels no test is rejected and the realized
+    threshold is the Bonferroni one."""
+    x = 1.3 * np.random.default_rng(seed).standard_normal(3000)
+    assert_same_statistics_step_up(x, 1.3, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.5, 0.97])
+@pytest.mark.parametrize("sigma", [1.0, 2.7, 0.4])
+def test_step_up_on_mixture_draws_matches_reference(sigma, alpha):
+    """Several chunks at the library's own chunk size."""
+    rng = np.random.default_rng(17)
+    m = 2 * procedures._CHUNK + 5
+    x = sigma * rng.standard_normal(m)
+    x[:400] *= 6.0
+    assert_same_statistics_step_up(x, sigma, alpha, chunk_sizes=(procedures._CHUNK,))
+
+
+@pytest.mark.parametrize(
+    "x, sigma, alpha",
+    [
+        ([0.5, np.nan], 1.0, 0.1),
+        ([np.inf, 0.5], 1.0, 0.1),
+        ([-np.inf], 1.0, 0.1),
+        ([0.5, np.nan], 0.0, 0.1),  # x is checked before sigma
+        ([0.5, np.nan], 1.0, 1.0),  # x before alpha
+        ([[np.nan]], 1.0, 0.1),  # x before the shape
+        ([0.5], 0.0, 1.0),  # sigma before alpha
+        ([0.5], -1.0, 0.1),
+        ([0.5], np.nan, 0.1),
+        ([0.5], np.inf, 0.1),
+        ([], 0.0, 0.1),  # sigma before the shape
+        ([], 1.0, 0.0),  # alpha before the shape
+        ([], 1.0, 0.1),
+        (0.5, 1.0, 0.1),
+        ([[0.1, 0.2]], 1.0, 0.1),
+        ([0.5], 1.0, 0.0),
+        ([0.5], 1.0, np.nan),
+        ([0.5], 1.0, np.inf),
+    ],
+)
+def test_step_up_on_statistics_bad_inputs_match_reference(x, sigma, alpha):
+    assert_same_statistics_step_up(np.asarray(x, dtype=float), sigma, alpha)
+
+
+@pytest.mark.parametrize(
+    "x, sigma",
+    [
+        ([1e-323], 5e-324),  # a subnormal sigma: the p-value is erfc(2) after roundings
+        ([1.96e-320, 1.96e-320], 1e-320),
+        ([1e-305, 3e-310, -1.7e308], 1e-310),
+        ([3e300, -2e301, 1.7e308], 1e300),  # levels near the largest double
+    ],
+)
+def test_step_up_on_statistics_at_extreme_scales(x, sigma):
+    assert_same_statistics_step_up(np.array(x), sigma, 0.1)
