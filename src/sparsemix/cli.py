@@ -4,7 +4,8 @@ Output discipline: CSV with one header row, every float printed with 17
 significant digits (round-trippable), and a JSON sidecar next to each CSV
 carrying the effective configuration, seed, and the toolkit, numpy and
 scipy versions (Generator streams are promised only within a numpy
-version).  With no --out the CSV goes to stdout, so runs can be piped or
+version); a sampled run also records the version of its replicate draw
+("stream").  With no --out the CSV goes to stdout, so runs can be piped or
 diffed directly.
 Identical invocations produce byte-identical CSV regardless of worker
 count — parallelism never touches streams or reduction order.
@@ -51,7 +52,7 @@ from .experiments import (
     run_convergence,
 )
 from .model import Losses, MixtureModel, TestingSetting, ThresholdSq, oracle_threshold_sq_raw
-from .montecarlo import mc_run
+from .montecarlo import STREAM, mc_run
 from .procedures import replicate_threshold, universal_threshold, bonferroni_threshold
 from .risk import fixed_threshold_risk
 from .rules import _BY_KIND, BhRule, fill_rule, rule_from_config, rule_to_config
@@ -59,11 +60,12 @@ from .rules import _BY_KIND, BhRule, fill_rule, rule_from_config, rule_to_config
 __all__ = ["main", "build_parser", "ConfigError"]
 
 # Bounds on what one invocation may ask for.  A Monte-Carlo replicate in
-# flight holds about 9 bytes per test (up to about 17 for the step-up rule
-# at levels near 1), and a run keeps six floats per replicate, so at the
-# bounds a run needs up to 1.7 GB per worker for its draws and 48 MB for
-# its statistics.  Exact-mode grid points need no sampling, so only the
-# grid length bounds them.
+# flight draws only the tail of p-values its rule can reject: nothing per
+# test for a fixed threshold, and up to about 18 bytes per test for the
+# step-up rule (at a level near 1).  A run keeps six floats per replicate,
+# so at the bounds a run needs up to 1.8 GB per worker for its draws and
+# 48 MB for its statistics.  Exact-mode grid points need no sampling, so
+# only the grid length bounds them.
 MAX_M = 10**8
 MAX_REPS = 10**6
 MAX_GRID_POINTS = 1000
@@ -124,8 +126,9 @@ def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:
         "columns": list(columns),
         "config": echo,
     }
-    if seed is not None:
+    if seed is not None:  # a sampled run
         sidecar["seed"] = seed
+        sidecar["stream"] = STREAM
     side = path.with_suffix(".json")
     if side == path:
         side = path.with_name(path.name + ".meta.json")

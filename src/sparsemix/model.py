@@ -340,18 +340,10 @@ def sample(setting: TestingSetting, seed, out=None) -> tuple[np.ndarray, np.ndar
     buf = rng.random(m, out=out)
     truth = buf < model.p
     # The normals go into the uniforms' block, which truth no longer needs.
-    return truth, _component_normals(rng, truth, model, out=buf)
-
-
-def _component_normals(
-    rng: np.random.Generator, truth: np.ndarray, model: MixtureModel, out: np.ndarray | None = None
-) -> np.ndarray:
-    """One block of len(truth) standard normals, each times its component's
-    scale: sqrt(sigma^2 + tau^2) where truth, sigma elsewhere.  Every element
-    gets the same product as against a full scale array, without building one.
-    The block is drawn into ``out`` when given (a float array of truth's size)."""
-    x = rng.standard_normal(truth.size, out=out)
+    # Each is scaled by its component's sd without building a scale array:
+    # every element gets the same product as against one.
+    x = rng.standard_normal(m, out=buf)
     alt = x[truth] * math.sqrt(model.sigma_sq + model.tau_sq)
     x *= model.sigma
     x[truth] = alt
-    return x
+    return truth, x

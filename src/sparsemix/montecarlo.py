@@ -7,23 +7,42 @@ order.  Worker threads only choose *which* slots they fill, never the
 stream or the order of the reduction, so reports are bit-identical for any
 worker count.  The default worker count comes from the SPARSEMIX_WORKERS
 environment variable (fallback: the usable CPUs); numpy releases the GIL
-inside the large per-replicate kernels, so threads give real speedup at
-large m.  At most one thread per usable CPU and per replicate is started,
-whatever the count asked for.  Each thread draws its replicates into one
-float block that the calling thread allocated.  A replicate keeps only the
-indices of its signals once drawn, and its decision reads X in chunks,
-leaving it unmodified: a fixed threshold squares X/sigma a chunk at a
-time, and the step-up rule computes p-values for, and sorts, only the
-tests in the |x| tail that can reach a critical value (see
-``procedures.step_up_reject``).  So each replicate in flight holds about
-9 bytes per test: the draw and a rejection mask, plus 8 bytes for each
-test in that tail while the step-up rule decides (about 0.8 per test at
-level 0.1).
+inside the per-replicate kernels, so threads give real speedup when the
+step-up rule's tail is large.  At most one thread per usable CPU and per
+replicate is started, whatever the count asked for.
+
+Stream 2: a replicate draws only the tail that a rule can reject.  Every
+rule here sees the data through its p-values, which are i.i.d. U(0,1)
+under the null and erfc(s |Z| / sqrt 2) under the alternative, with
+s = sqrt(1 + tau^2/sigma^2) and Z standard normal.  A fixed threshold c^2
+rejects exactly the p-values at or below a = erfc(c / sqrt 2).  The step-up
+rule's critical index k is at most the number of p-values at or below
+a = alpha * m / m (Benjamini & Hochberg 1995), so it too rejects only
+there.  With z_a = Phi_inv_upper(a / 2) and q1 = erfc(z_a / (s sqrt 2)),
+the chance that a signal's p-value is in the tail, one replicate draws in
+this order:
+
+1. K ~ Bin(m, p), the signals (K = k in mc_conditional_k);
+2. N0 ~ Bin(m - K, a), the nulls in the tail;
+3. N1 ~ Bin(K, q1), the signals in the tail.
+
+A fixed threshold rejects V = N0 nulls and S = N1 signals, with no array at
+all.  For the step-up rule the N0 null p-values are a U and the N1
+alternative ones erfc(s Phi_inv_upper(W q1 / 2) / sqrt 2), with U, W
+uniform on [0, 1) and (0, 1]: conditioned on the tail they are uniform on
+[0, a] and the alternative's p-value law cut at a.  p_(k) comes from the
+helper bh_reject and step_up_reject use, and V and S count the tail
+p-values at or below it.  So V, S, K and the realized threshold have
+exactly the law of a draw of all m tests (sample, then apply_rule), but a
+seed gives other numbers than that full draw, stream 1, did.  A step-up
+replicate holds 8 bytes per tail test and up to 9 more while it sorts, so
+about 17 a bytes per test; a fixed-threshold one holds nothing per test.
 
 Statistic conventions: FDP is V/R with 0/0 := 0; power is the discovered
 proportion S/K among the K true signals (0 when the sample has none); loss
 is delta0 * V + deltaA * FN.  Standard errors are sample standard
-deviations divided by sqrt(reps) — no variance reduction, by design.
+deviations divided by sqrt(reps).  The tail draw changes what a replicate
+costs, not its law, so they are the full draw's: no variance reduction.
 """
 
 from __future__ import annotations
@@ -32,15 +51,16 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
+from scipy import special
 
 from .bfdr import BfdrLevel, gw_threshold
 from .errors import ParameterError
-from .model import TestingSetting, _component_normals, sample
-from .procedures import ConfusionCounts, bonferroni_threshold
-from .rules import BhRule, Rule, _decision
+from .model import TestingSetting
+from .normal import _SQRT2, Phi_inv_upper
+from .procedures import ConfusionCounts, _critical_pvalue, _step_up_threshold, bonferroni_threshold
+from .rules import BhRule, Rule, _need_alpha, threshold_sq
 
 __all__ = [
     "McEstimate",
@@ -53,6 +73,10 @@ __all__ = [
     "bh_ev_constant",
     "default_workers",
 ]
+
+# Version of the replicate draw above, recorded in the CLI's sidecars: the
+# same seed gives other numbers under another stream.
+STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -132,9 +156,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parallel_fill(fill, reps: int, workers: int | None, m: int) -> None:
-    """fill(lo, hi, buf) over spans of the replicates, each span with its own
-    float block buf of m elements."""
+def _parallel_fill(fill, reps: int, workers: int | None) -> None:
+    """fill(lo, hi) over spans of the replicates."""
     w = default_workers() if workers is None else int(workers)
     if w < 1:
         raise ParameterError("worker count must be >= 1")
@@ -142,16 +165,11 @@ def _parallel_fill(fill, reps: int, workers: int | None, m: int) -> None:
     # reports do not depend on the count.
     w = min(w, _usable_cpus(), reps)
     if w <= 1:
-        fill(0, reps, np.empty(m))
+        fill(0, reps)
         return
     step = -(-reps // w)
-    spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    # The blocks are allocated here, in the calling thread.  A block that a
-    # worker allocates and frees stays in that thread's malloc arena, and
-    # how the arenas fragment depends on how the threads interleave, so the
-    # process's peak memory would differ from run to run by up to a block.
     with ThreadPoolExecutor(max_workers=w) as pool:
-        for future in [pool.submit(fill, lo, hi, np.empty(m)) for lo, hi in spans]:
+        for future in [pool.submit(fill, lo, min(lo + step, reps)) for lo in range(0, reps, step)]:
             future.result()
 
 
@@ -162,9 +180,68 @@ def _gap_reference(setting: TestingSetting, rule: Rule) -> float | None:
     return None
 
 
-def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, draw) -> dict:
-    """Shared replicate loop; `draw(rng, buf)` yields (truth, x) for one
-    replicate, with x drawn into buf, a float block of m elements.
+@dataclass(frozen=True)
+class _Tail:
+    """A rule resolved, once, to the tail of p-values it can reject.
+
+    a is the tail level, q1 the chance that a signal's p-value is in the
+    tail and s the alternative's scale over the null's; alpha is the
+    step-up level, None for a fixed threshold.
+    """
+
+    m: int
+    p: float
+    a: float
+    q1: float
+    s: float
+    alpha: float | None
+
+
+def _tail(setting: TestingSetting, rule: Rule) -> _Tail:
+    m = setting.int_m()
+    s = math.sqrt(1.0 + setting.model.u)
+    if isinstance(rule, BhRule):
+        alpha = _need_alpha(rule)
+        a = alpha * m / m
+        # A level below twice the smallest double is treated as that double.
+        z = float(Phi_inv_upper(max(a / 2.0, 5e-324)))
+    else:
+        alpha = None
+        z = math.sqrt(threshold_sq(rule, setting))
+        a = math.erfc(z / _SQRT2)
+    return _Tail(m=m, p=setting.model.p, a=a, q1=math.erfc(z / (s * _SQRT2)), s=s, alpha=alpha)
+
+
+def _replicate_counts(tail: _Tail, rng: np.random.Generator, k: int | None = None):
+    """(V, S, K, p_(k)) of one replicate drawn from rng, in the order of the
+    module docstring; p_(k) is None for a fixed threshold and when the
+    step-up rule rejects nothing.  K = k when k is given."""
+    K = int(rng.binomial(tail.m, tail.p)) if k is None else k
+    n0 = int(rng.binomial(tail.m - K, tail.a))
+    n1 = int(rng.binomial(K, tail.q1))
+    if tail.alpha is None:
+        return n0, n1, K, None
+    tail_p = np.empty(n0 + n1)
+    nulls = rng.random(out=tail_p[:n0])
+    nulls *= tail.a
+    # W on (0, 1] gives |Z| = Phi_inv_upper(W q1 / 2) >= z_a / s, then the
+    # p-value erfc(s |Z| / sqrt 2), in place.
+    alts = rng.random(out=tail_p[n0:])
+    np.subtract(1.0, alts, out=alts)
+    alts *= tail.q1 / 2.0
+    # Where q1 is subnormal the product can round to 0, outside the quantile's domain.
+    np.maximum(alts, 5e-324, out=alts)
+    z = Phi_inv_upper(alts)
+    z *= tail.s / _SQRT2
+    special.erfc(z, out=alts)
+    crit = _critical_pvalue(tail_p, tail.alpha, tail.m)
+    if crit is None:
+        return 0, 0, K, None
+    return int(np.count_nonzero(nulls <= crit)), int(np.count_nonzero(alts <= crit)), K, crit
+
+
+def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k: int | None = None) -> dict:
+    """Shared replicate loop; every replicate has K = k signals when k is given.
 
     Returns the per-replicate statistics under their McReport field names,
     each an array in index order; "threshold_gap" is present only for the
@@ -177,7 +254,7 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
     bon_z = math.sqrt(float(bonferroni_threshold(m, rule.alpha))) if gw_z is not None else None
     # Resolve once: a fixed threshold is the same for every replicate, and
     # resolving may itself be expensive (bisection).
-    decide = _decision(rule, setting)
+    tail = _tail(setting, rule)
     loss = np.empty(reps)
     fdp = np.empty(reps)
     any_false = np.empty(reps)
@@ -185,30 +262,21 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, d
     tdp = np.empty(reps)
     gaps = np.empty(reps) if gw_z is not None else None
 
-    def replicate(i: int, buf: np.ndarray) -> None:
-        # Its other arrays are freed on return, before the next replicate
-        # draws into the same block.
-        truth, x = draw(_replicate_rng(seed, i), buf)
-        signals = np.flatnonzero(truth)
-        del truth  # the few signal indices are all the counts need
-        result = decide(x)
-        s = int(np.count_nonzero(result.rejected[signals]))
-        counts = ConfusionCounts(V=result.num_rejected - s, S=s, K=signals.size)
-        rejected = counts.num_rejected
-        loss[i] = counts.loss(losses)
-        fdp[i] = counts.V / rejected if rejected > 0 else 0.0
-        any_false[i] = 1.0 if counts.V > 0 else 0.0
-        v_count[i] = counts.V
-        tdp[i] = counts.S / counts.K if counts.K > 0 else 0.0
-        if gaps is not None:
-            bh_z = min(bon_z, math.sqrt(float(result.realized_threshold_sq)))
-            gaps[i] = abs(bh_z - gw_z)
-
-    def fill(lo: int, hi: int, buf: np.ndarray) -> None:
+    def fill(lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            replicate(i, buf)
+            v, s, signals, crit = _replicate_counts(tail, _replicate_rng(seed, i), k)
+            counts = ConfusionCounts(V=v, S=s, K=signals)
+            rejected = counts.num_rejected
+            loss[i] = counts.loss(losses)
+            fdp[i] = counts.V / rejected if rejected > 0 else 0.0
+            any_false[i] = 1.0 if counts.V > 0 else 0.0
+            v_count[i] = counts.V
+            tdp[i] = counts.S / counts.K if counts.K > 0 else 0.0
+            if gaps is not None:
+                bh_z = min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, tail.alpha))))
+                gaps[i] = abs(bh_z - gw_z)
 
-    _parallel_fill(fill, reps, workers, m)
+    _parallel_fill(fill, reps, workers)
     stats = {"risk": loss, "fdr": fdp, "fwer": any_false, "ev": v_count, "power": tdp}
     if gaps is not None:
         stats["threshold_gap"] = gaps
@@ -222,31 +290,20 @@ def _report(stats: dict) -> McReport:
 def mc_run(setting: TestingSetting, rule: Rule, reps, seed, workers: int | None = None) -> McReport:
     """Estimate risk, FDR, FWER, E(V) and the true-discovery proportion of a
     rule by simulation from the mixture."""
-    return _report(_replicates(setting, rule, reps, seed, workers, partial(sample, setting)))
+    return _report(_replicates(setting, rule, reps, seed, workers))
 
 
 def mc_conditional_k(
     setting: TestingSetting, rule: Rule, k, reps, seed, workers: int | None = None
 ) -> McReport:
-    """Same report, conditioned on exactly k signals per replicate.
-
-    Each replicate places k signals at uniformly chosen positions (drawn
-    first, then one block of normals), so ev.mean estimates E(V | K = k).
-    """
+    """Same report, conditioned on exactly k signals per replicate, so
+    ev.mean estimates E(V | K = k)."""
     m = setting.int_m()
     if not (isinstance(k, (int, np.integer)) and 0 <= k):
         raise ParameterError("k must be a nonnegative integer")
     if k > m:
         raise ParameterError(f"k={k} exceeds m={m}")
-    k = int(k)
-
-    def draw(rng, buf):
-        truth = np.zeros(m, dtype=bool)
-        if k:
-            truth[rng.choice(m, size=k, replace=False)] = True
-        return truth, _component_normals(rng, truth, setting.model, out=buf)
-
-    return _report(_replicates(setting, rule, reps, seed, workers, draw))
+    return _report(_replicates(setting, rule, reps, seed, workers, int(k)))
 
 
 def threshold_gap_study(
@@ -267,7 +324,7 @@ def threshold_gap_study(
     if not (epsilon > 0.0) or math.isnan(epsilon):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
     rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
-    gaps = _replicates(setting, rule, reps, seed, workers, partial(sample, setting))["threshold_gap"]
+    gaps = _replicates(setting, rule, reps, seed, workers)["threshold_gap"]
     return GapStudy(
         gap=McEstimate.from_samples(gaps),
         exceed_frac=float(np.mean(gaps > epsilon)),

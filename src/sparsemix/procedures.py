@@ -17,10 +17,13 @@ decides on their |x| tail.  Its critical index k is at most the number of
 p-values at or below alpha, and p_(k) <= k alpha / m, so only the tests
 with |x| above the level of the last critical value can be rejected.
 ``step_up_reject`` counts those, tightens the level once to the critical
-value of that count, and computes p-values for, and sorts, only the tests
-above it.  The statistics-level rules read x in chunks of ``_CHUNK``
-elements, so beyond x they hold a byte-per-test mask and, for the step-up
-rule, 8 bytes per test above the first level.
+value of that count, and computes p-values only for the tests above it.
+Both forms, and the Monte-Carlo runner, find p_(k) through one helper,
+``_critical_pvalue``, which sorts only the candidates that can still be
+p_(k).  The statistics-level rules read x in chunks of ``_CHUNK``
+elements, checking each chunk as they go, so beyond x they hold a
+byte-per-test mask and, for the step-up rule, 8 to 17 bytes per test above
+the first level (17 where nearly all of them are sorted).
 """
 
 from __future__ import annotations
@@ -183,6 +186,22 @@ def _last_crossing(ordered: np.ndarray, alpha: float, m: int) -> float | None:
     return None
 
 
+def _critical_pvalue(candidates: np.ndarray, alpha: float, m: int) -> float | None:
+    """p_(k) of the step-up rule at level alpha over m tests, or None when
+    it rejects nothing, from the candidate p-values (left unmodified).
+
+    The candidates must hold every p-value at or below t = N alpha / m, for
+    some N at least the number at or below alpha * m / m; others above t
+    may be among them.  Then k <= #{p <= p_(k)} <= #{p <= t} <= n, the
+    number of candidates, so p_(k) <= n alpha / m.  Only the candidates at
+    or below that level are sorted: they hold every p-value there, so their
+    ranks are their ranks among all m.
+    """
+    ordered = candidates[candidates <= candidates.size * alpha / m]
+    ordered.sort()
+    return _last_crossing(ordered, alpha, m)
+
+
 def _step_up_threshold(crit: float | None, m: int, alpha: float) -> ThresholdSq:
     """The realized c^2 of a step-up decision with critical p-value crit."""
     if crit is None:
@@ -210,11 +229,9 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     m = arr.size
     # Only p-values at or below the last critical value alpha * m / m (which
     # rounding can put one ulp above alpha) can satisfy p_(i) <= i alpha / m.
-    # They are the smallest ones, so sorting just them keeps their ranks.
-    ordered = arr[arr <= alpha * m / m]
-    ordered.sort()
-    crit = _last_crossing(ordered, alpha, m)
-    del ordered  # freed before the m-length mask is built
+    candidates = arr[arr <= alpha * m / m]
+    crit = _critical_pvalue(candidates, alpha, m)
+    del candidates  # freed before the m-length mask is built
     rejected = np.zeros(m, dtype=bool) if crit is None else arr <= crit
     return RejectionResult(rejected=rejected, realized_threshold_sq=_step_up_threshold(crit, m, alpha))
 
@@ -255,22 +272,33 @@ def step_up_reject(x, sigma: float, alpha: float) -> RejectionResult:
 
     Three passes read x a chunk at a time:
     1. count n, the tests at the |x| level of the last critical value
-       alpha * m / m.  The critical index k is at most n.
+       alpha * m / m, checking each chunk.  The critical index k is at most n.
     2. keep the tests at the |x| level of t = n alpha / m, the critical value
-       of n; compute their p-values, sort them and find p_(k) among them.
+       of n; compute their p-values and find p_(k) among them.
     3. mark the tests with p <= p_(k), computing p-values only for the tests
        at its |x| level.
     x is left unmodified.
     """
     arr = np.asarray(x, dtype=float)
-    _check_finite(arr)
-    _check_sigma(sigma)
-    alpha = _check_level(alpha)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError("pvals must be a nonempty 1-d array")
+    # x is checked a chunk at a time in pass 1; when another argument is
+    # bad, all of x is checked first, so the errors keep their order.
+    try:
+        _check_sigma(sigma)
+        alpha = _check_level(alpha)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ParameterError("pvals must be a nonempty 1-d array")
+    except ParameterError:
+        _check_finite(arr)
+        raise
     m = arr.size
     first_cut = _screen_cut(alpha * m / m, sigma)
-    n_screened = sum(np.count_nonzero(mask) for _, mask in _screen(arr, first_cut))
+    n_screened = 0
+    for lo, mask in _screen(arr, first_cut):
+        # max propagates NaN, and reads the chunk while it is in cache.  -inf
+        # passes every screen, so pvalues' own check raises on it below.
+        if not np.isfinite(arr[lo:lo + mask.size].max()):
+            raise ParameterError("x must be finite")
+        n_screened += np.count_nonzero(mask)
     crit = None
     if n_screened:
         t = n_screened * alpha / m
@@ -281,12 +309,9 @@ def step_up_reject(x, sigma: float, alpha: float) -> RejectionResult:
             picked = arr[lo:lo + mask.size][mask]
             kept[size:size + picked.size] = picked
             size += picked.size
-        # The few kept p-values above t sort last, and no critical value up
-        # to n_screened exceeds t, so none of them can be p_(k).
-        ordered = pvalues(kept[:size], sigma, out=kept[:size])
-        ordered.sort()
-        crit = _last_crossing(ordered, alpha, m)
-        del kept, ordered  # freed before the m-length mask is built
+        # The kept tests hold every p-value at or below t.
+        crit = _critical_pvalue(pvalues(kept[:size], sigma, out=kept[:size]), alpha, m)
+        del kept  # freed before the m-length mask is built
     if crit is None:
         rejected = np.zeros(m, dtype=bool)
     else:
@@ -302,19 +327,28 @@ def step_up_reject(x, sigma: float, alpha: float) -> RejectionResult:
 def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
     """Reject H_i exactly when x_i^2 / sigma^2 >= c^2 (ties rejected).
 
-    x is read a chunk at a time, so the only m-length array made is the mask.
+    x is read and checked a chunk at a time, so the only m-length array
+    made is the mask.
     """
     arr = np.asarray(x, dtype=float)
-    _check_finite(arr)
-    _check_sigma(sigma)
-    c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(float(c_sq))
+    # As in step_up_reject: all of x is checked first when another argument is bad.
+    try:
+        _check_sigma(sigma)
+        c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(float(c_sq))
+    except (ParameterError, TypeError, ValueError):
+        _check_finite(arr)
+        raise
     bound = float(c_sq)
     flat = arr.reshape(-1)
     rejected = np.empty(flat.size, dtype=bool)
     z = np.empty(min(_CHUNK, flat.size))
     for lo, hi in _chunks(flat.size):
-        chunk = np.divide(flat[lo:hi], sigma, out=z[:hi - lo])
-        np.greater_equal(np.square(chunk, out=chunk), bound, out=rejected[lo:hi])
+        chunk = np.square(np.divide(flat[lo:hi], sigma, out=z[:hi - lo]), out=z[:hi - lo])
+        # The square is NaN for NaN, and inf for +-inf or a finite x whose
+        # square overflows; the chunk of x itself tells those apart.
+        if not np.isfinite(chunk.max()):
+            _check_finite(flat[lo:hi])
+        np.greater_equal(chunk, bound, out=rejected[lo:hi])
     return RejectionResult(rejected=rejected.reshape(arr.shape), realized_threshold_sq=c_sq)
 
 

@@ -1,8 +1,9 @@
 """Procedure descriptors: small frozen values naming a testing rule.
 
 A rule is data, not behavior — the same descriptor is resolved to a fixed
-squared threshold for the exact risk engine, or applied to a realized sample
-by the Monte-Carlo runner.  Descriptors with ``alpha=None`` (or ``n=None``
+squared threshold for the exact risk engine, applied to a realized sample
+by ``apply_rule``, or resolved by the Monte-Carlo runner to the tail of
+p-values it can reject.  Descriptors with ``alpha=None`` (or ``n=None``
 for the replicate rule) are templates: regime presets fill the missing
 field per grid point, e.g. a level schedule alpha_m = 1/log m.
 
@@ -226,23 +227,12 @@ def threshold_sq(rule: Rule, setting: TestingSetting) -> ThresholdSq:
     raise ParameterError(f"{kind} rule has no fixed threshold; use the Monte-Carlo runner")
 
 
-def _decision(rule: Rule, setting: TestingSetting):
-    """Resolve a rule under a setting into x -> RejectionResult, once.
-
-    A fixed rule's threshold is computed here rather than per sample.
-    Neither decision modifies x.
-    """
+def apply_rule(rule: Rule, x, setting: TestingSetting) -> RejectionResult:
+    """Apply a rule to one sample of test statistics; x is left unmodified."""
     sigma = setting.model.sigma
     if isinstance(rule, BhRule):
-        alpha = _need_alpha(rule)
-        return lambda x: step_up_reject(x, sigma, alpha)
-    c_sq = threshold_sq(rule, setting)
-    return lambda x: fixed_threshold_reject(x, sigma, c_sq)
-
-
-def apply_rule(rule: Rule, x, setting: TestingSetting) -> RejectionResult:
-    """Apply a rule to one sample of test statistics."""
-    return _decision(rule, setting)(x)
+        return step_up_reject(x, sigma, _need_alpha(rule))
+    return fixed_threshold_reject(x, sigma, threshold_sq(rule, setting))
 
 
 def rule_to_config(rule: Rule) -> dict:

@@ -317,6 +317,22 @@ def test_sidecar_records_library_versions(tmp_path, capsys):
     assert sidecar["version"] == sparsemix.__version__
 
 
+def test_sampled_runs_record_the_stream(tmp_path, capsys):
+    """The same seed gives other numbers under another Monte-Carlo stream,
+    so sampled runs record its version; exact runs draw nothing."""
+    runs = {
+        "sim": ("simulate", "--preset", "bh_fixed_alpha", "--m", "300", "--reps", "3"),
+        "mc": ("convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3", "--reps", "3"),
+        "exact": ("convergence", "--preset", "lemma_universal", "--grid", "1e3"),
+        "risk": ("risk", "--p", "0.01", "--u", "16", "--delta", "1", "--m", "1e4"),
+    }
+    for name, argv in runs.items():
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{name}.csv"))
+        assert code == 0
+    stream = {name: json.loads((tmp_path / f"{name}.json").read_text()).get("stream") for name in runs}
+    assert stream == {"sim": 2, "mc": 2, "exact": None, "risk": None}
+
+
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sparsemix import montecarlo
+from sparsemix import montecarlo, procedures
 from sparsemix import (
     BhRule,
     BfdrLevel,
@@ -33,6 +33,7 @@ from sparsemix import (
     optimal_risk_exact,
     sample,
     threshold_gap_study,
+    threshold_sq,
 )
 
 
@@ -192,30 +193,6 @@ def test_worker_clamp_falls_back_to_cpu_count(monkeypatch):
     assert made == [3]
 
 
-def test_each_span_draws_into_a_block_from_the_calling_thread(monkeypatch):
-    """Each span's m-length block is handed to the pool with the span, so no
-    worker thread allocates one in its own malloc arena; the draws land in it."""
-    made, blocks = [], []
-
-    class BlockPool(_RecordingPool):
-        def submit(self, fn, *args):
-            args[-1].fill(np.nan)
-            blocks.append(args[-1])
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", partial(BlockPool, made))
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(3)))
-    setting = _setting(m=200)
-    for run in (partial(mc_run, setting, BhRule(alpha=0.2)),
-                partial(mc_conditional_k, setting, UniversalRule(), 4)):
-        blocks.clear()
-        assert run(7, seed=4, workers=3) == run(7, seed=4, workers=1)
-        assert [(b.shape, b.dtype) for b in blocks] == [((200,), np.dtype(float))] * 3
-        assert len({id(b) for b in blocks}) == 3
-        assert not np.isnan(blocks).any()
-    assert made == [3, 3]
-
-
 def test_worker_count_below_one_rejected():
     with pytest.raises(ParameterError, match="worker count must be >= 1"):
         mc_run(_setting(m=50), UniversalRule(), 10, seed=0, workers=0)
@@ -245,21 +222,109 @@ def test_default_worker_count_gives_the_serial_reports(monkeypatch, rule):
         )
 
 
-@pytest.mark.parametrize("rule", [BhRule(alpha=0.3), BhRule(alpha=0.97), UniversalRule(d=-4.0)])
-def test_replicate_counts_match_confusion(rule):
-    """The loop counts V, S and K from the signal indices; confusion on the
-    same draws (through apply_rule, which leaves x alone) gives the same."""
-    setting = _setting_sigma(m=300)
-    stats = montecarlo._replicates(setting, rule, 6, 11, 1, partial(sample, setting))
-    for i in range(6):
-        truth, x = sample(setting, montecarlo._replicate_rng(11, i))
-        counts = confusion(apply_rule(rule, x, setting), truth)
-        rejected = counts.num_rejected
-        assert stats["ev"][i] == counts.V
-        assert stats["risk"][i] == counts.loss(setting.losses)
-        assert stats["fdr"][i] == (counts.V / rejected if rejected else 0.0)
-        assert stats["power"][i] == (counts.S / counts.K if counts.K else 0.0)
-    assert stats["ev"].sum() > 0 and stats["power"].sum() > 0  # both counts exercised
+# -----------------------------------------------------------------------
+# The tail draw against the full draw.
+#
+# The loop draws only the tail of p-values a rule can reject (stream 2).
+# The reference below is the full draw it replaced (stream 1), written from
+# the public sample, apply_rule and confusion.  The two share no stream, so
+# they are compared in distribution: the means of V, S, K, R, the loss and
+# the realized threshold agree within 4.5 two-sample standard errors.
+
+
+def _full_draw(setting, rule, rng, k=None):
+    """(V, S, K, realized c^2) of one replicate drawn for all m tests; k
+    signals at uniformly chosen positions when k is given."""
+    if k is None:
+        truth, x = sample(setting, rng)
+    else:
+        m = setting.int_m()
+        truth = np.zeros(m, dtype=bool)
+        truth[rng.choice(m, size=k, replace=False)] = True
+        model = setting.model
+        x = rng.standard_normal(m) * np.where(truth, math.sqrt(model.sigma_sq + model.tau_sq), model.sigma)
+    result = apply_rule(rule, x, setting)
+    counts = confusion(result, truth)
+    return counts.V, counts.S, counts.K, float(result.realized_threshold_sq)
+
+
+def _tail_draw(setting, rule, rng, k=None):
+    """The same four numbers from the loop's own replicate."""
+    tail = montecarlo._tail(setting, rule)
+    v, s, signals, crit = montecarlo._replicate_counts(tail, rng, k)
+    if tail.alpha is None:
+        return v, s, signals, float(threshold_sq(rule, setting))
+    return v, s, signals, float(procedures._step_up_threshold(crit, setting.int_m(), tail.alpha))
+
+
+def _columns(draw, setting, rule, reps, seed, k=None):
+    """Per-replicate V, S, K, R, loss and c^2, replicate i from stream (seed, i)."""
+    v, s, signals, c_sq = np.array(
+        [draw(setting, rule, montecarlo._replicate_rng(seed, i), k) for i in range(reps)], dtype=float
+    ).T
+    losses = setting.losses
+    loss = losses.delta0 * v + losses.deltaA * (signals - s)
+    return {"V": v, "S": s, "K": signals, "R": v + s, "loss": loss, "c_sq": c_sq}
+
+
+def _assert_same_law(tail, full):
+    """Each mean within 4.5 two-sample standard errors (equal when both are
+    constant, as a fixed rule's threshold is)."""
+    for name in tail:
+        a, b = tail[name], full[name]
+        se = math.sqrt(np.var(a, ddof=1) / a.size + np.var(b, ddof=1) / b.size)
+        assert abs(a.mean() - b.mean()) <= 4.5 * se, (name, a.mean(), b.mean(), se)
+
+
+_SIGMA_SETTING = TestingSetting(model=MixtureModel(p=0.05, sigma_sq=2.7, tau_sq=40.0), losses=Losses(1.0, 2.0), m=400)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [BhRule(alpha=0.1), BhRule(alpha=0.5), BhRule(alpha=0.97), UniversalRule(d=-4.0), OracleRule()],
+    ids=["bh-0.1", "bh-0.5", "bh-0.97", "universal", "oracle"],
+)
+def test_tail_draw_has_the_law_of_the_full_draw(rule):
+    setting, reps = _SIGMA_SETTING, 3000
+    tail = _columns(_tail_draw, setting, rule, reps, seed=21)
+    _assert_same_law(tail, _columns(_full_draw, setting, rule, reps, seed=22))
+    # The loop reports from these very replicates.
+    report = mc_run(setting, rule, reps, seed=21, workers=1)
+    assert report.ev.mean == pytest.approx(tail["V"].mean(), rel=1e-12)
+    assert report.risk.mean == pytest.approx(tail["loss"].mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 10])
+def test_conditional_tail_draw_has_the_law_of_the_full_draw(k):
+    setting = _setting(p=0.001, u=25.0, m=2000)
+    rule = BhRule(alpha=0.2)
+    tail = _columns(_tail_draw, setting, rule, 3000, seed=23, k=k)
+    assert (tail["K"] == k).all()
+    _assert_same_law(tail, _columns(_full_draw, setting, rule, 3000, seed=24, k=k))
+    report = mc_conditional_k(setting, rule, k, 3000, seed=23, workers=1)
+    assert report.ev.mean == pytest.approx(tail["V"].mean(), rel=1e-12)
+
+
+def test_gap_study_has_the_law_of_the_full_draw():
+    setting = _setting(p=0.02, u=9.0, m=3000)
+    alpha, reps = 0.2, 2000
+    study = threshold_gap_study(setting, alpha, reps, seed=25, epsilon=0.25, workers=1)
+    c_sq = _columns(_full_draw, setting, BhRule(alpha=alpha), reps, seed=26)["c_sq"]
+    bon_z = math.sqrt(float(bonferroni_threshold(setting.int_m(), alpha)))
+    gw_z = math.sqrt(float(gw_threshold(setting.model, BfdrLevel(alpha))))
+    gaps = np.abs(np.minimum(bon_z, np.sqrt(c_sq)) - gw_z)
+    se = math.hypot(study.gap.std_error, np.std(gaps, ddof=1) / math.sqrt(reps))
+    assert abs(study.gap.mean - gaps.mean()) <= 4.5 * se
+
+
+def test_full_draw_reference_matches_exact_oracle_risk():
+    """The reference is itself right: a fixed rule's tail counts use the
+    same erfc as the closed form, so only the full draw checks it
+    independently."""
+    setting = _SIGMA_SETTING
+    loss = _columns(_full_draw, setting, OracleRule(), 3000, seed=27)["loss"]
+    exact = optimal_risk_exact(setting).total
+    assert abs(loss.mean() - exact) <= 3.0 * np.std(loss, ddof=1) / math.sqrt(loss.size)
 
 
 def test_step_up_level_still_required():
@@ -267,38 +332,46 @@ def test_step_up_level_still_required():
         mc_run(_setting(m=50), BhRule(), 4, seed=0, workers=1)
 
 
-def _replicate_peak_bytes_per_test(rule, m=200_000) -> float:
-    """tracemalloc's peak over a one-worker mc_run of two replicates, per test."""
+def _replicate_peak_bytes(rule, m=200_000) -> int:
+    """tracemalloc's peak over a one-worker mc_run of two replicates."""
     setting = _setting(p=1e-3, u=2.0 * math.log(m), m=m)
     mc_run(setting, rule, 2, seed=0, workers=1)  # warm caches and imports
     tracemalloc.start()
     try:
         mc_run(setting, rule, 2, seed=1, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / m
+
+
+def _replicate_peak_bytes_per_test(rule, m=200_000) -> float:
+    return _replicate_peak_bytes(rule, m) / m
 
 
 def test_step_up_replicate_peak_memory():
-    """One step-up replicate holds its draw, the |x| tail it computes
-    p-values for and about a byte-per-test mask; an extra m-length float
-    temporary would add 8 bytes per test and break the bound."""
-    assert _replicate_peak_bytes_per_test(BhRule(alpha=0.1)) <= 9.84
+    """A step-up replicate holds the p-values of its tail, about alpha m of
+    them, and sorts the tenth of those that can still be p_(k); a draw of
+    all m tests would add 8 bytes per test and break the bound."""
+    assert _replicate_peak_bytes_per_test(BhRule(alpha=0.1)) <= 1.04
 
 
-@pytest.mark.parametrize("alpha, bound", [(0.5, 16.55), (0.97, 24.82)])
+@pytest.mark.parametrize("alpha, bound", [(0.5, 8.10), (0.97, 17.95)])
 def test_step_up_replicate_peak_memory_at_high_levels(alpha, bound):
-    """Where most tests are candidates the tail is most of m; the bounds are
-    the peaks of the decision that computed every p-value in place."""
+    """Where most tests are in the tail it is most of m, and most of it is
+    sorted: 8 bytes per tail test, a byte-per-candidate mask and the copy
+    that is sorted."""
     assert _replicate_peak_bytes_per_test(BhRule(alpha=alpha)) <= bound
 
 
 @pytest.mark.parametrize("rule", [OracleRule(), UniversalRule()])
 def test_fixed_threshold_replicate_peak_memory(rule):
-    """A fixed-threshold replicate holds its draw and the mask; its quotient
-    x / sigma is formed a chunk at a time, not as an m-length temporary."""
-    assert _replicate_peak_bytes_per_test(rule) <= 11.0
+    """A fixed-threshold replicate draws three counts and no array."""
+    assert _replicate_peak_bytes_per_test(rule) <= 0.02
+
+
+def test_fixed_threshold_replicate_memory_does_not_grow_with_m():
+    small = _replicate_peak_bytes(UniversalRule(), m=10**5)
+    assert abs(_replicate_peak_bytes(UniversalRule(), m=10**9) - small) <= 2048
 
 
 # -----------------------------------------------------------------------

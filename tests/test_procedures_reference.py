@@ -178,6 +178,50 @@ def test_bh_bad_inputs_match_reference(pvals, alpha):
     assert_same_step_up(np.asarray(pvals, dtype=float), alpha)
 
 
+@st.composite
+def tail_and_padding(draw):
+    """The p-values at or below a = alpha * m / m that a tail draw makes, and
+    m - n more in (a, 1]: critical values and their ties, exact zeros, a
+    itself and one ulp above it (a rounded p-value in the tail)."""
+    m = draw(st.integers(1, 40))
+    alpha = draw(
+        st.one_of(
+            st.floats(1e-6, 1.0 - 1e-9),
+            st.sampled_from([0.05, 0.1, 0.5, 0.949, 0.97, 1.0 - 2.0**-30]),
+        )
+    )
+    a = alpha * m / m
+    n = draw(st.one_of(st.integers(0, m), st.sampled_from([0, m])))
+    special_values = [alpha * k / m for k in range(1, m + 1)] + [0.0, 5e-324, a, float(np.nextafter(a, 1.0))]
+    tail = draw(st.lists(st.one_of(st.sampled_from(special_values), st.floats(0.0, a)), min_size=n, max_size=n))
+    above = st.one_of(st.sampled_from([float(np.nextafter(a, 1.0)), 1.0]), st.floats(a, 1.0, exclude_min=True))
+    padding = draw(st.lists(above, min_size=m - n, max_size=m - n))
+    order = draw(st.permutations(range(m)))
+    return np.array(tail, dtype=float), np.array(tail + padding)[order], alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(tail_and_padding())
+@example((np.array([]), np.array([0.7, 0.3]), 0.1))  # n = 0
+@example((np.array([0.0, 0.0]), np.array([0.0, 0.0]), 0.1))  # n = m, exact zeros
+@example((np.array([0.05, 0.05, 0.05]), np.array([0.05, 0.05, 0.05, 0.5]), 0.2))  # ties at a critical value
+def test_critical_pvalue_of_the_tail_matches_the_padded_vector(case):
+    """The helper on the tail alone gives what bh_reject gives on the padded
+    vector: p_(k), the number rejected and the realized threshold."""
+    tail, full, alpha = case
+    m = full.size
+    before = tail.copy()
+    crit = procedures._critical_pvalue(tail, alpha, m)
+    np.testing.assert_array_equal(tail, before)
+    expected = bh_reject(full, alpha)
+    if crit is None:
+        assert expected.num_rejected == 0
+    else:
+        assert crit == full[expected.rejected].max()
+        assert int(np.count_nonzero(tail <= crit)) == expected.num_rejected
+    assert procedures._step_up_threshold(crit, m, alpha) == expected.realized_threshold_sq
+
+
 def assert_same_pvalues(x, sigma):
     with np.errstate(over="ignore"):  # |x| / sigma past the largest double
         kind, expected = outcome(reference_pvalues, x, sigma)
