@@ -60,11 +60,11 @@ from .rules import _BY_KIND, BhRule, fill_rule, rule_from_config, rule_to_config
 __all__ = ["main", "build_parser", "ConfigError"]
 
 # Bounds on what one invocation may ask for.  A Monte-Carlo replicate in
-# flight draws only the tail of p-values its rule can reject: nothing per
-# test for a fixed threshold, and up to about 18 bytes per test for the
-# step-up rule (at a level near 1).  A run keeps six floats per replicate,
-# so at the bounds a run needs up to 1.8 GB per worker for its draws and
-# 48 MB for its statistics.  Exact-mode grid points need no sampling, so
+# flight draws nothing per test for a fixed threshold.  For the step-up
+# rule it draws fewer than 128 p-values per step of its walk, and never
+# more than its first tail: up to about 18 bytes per test at a level near
+# 1.  A run keeps six floats per replicate, so at the bounds a run needs up
+# to 1.8 GB per worker for its draws and 48 MB for its statistics.  Exact-mode grid points need no sampling, so
 # only the grid length bounds them.
 MAX_M = 10**8
 MAX_REPS = 10**6
@@ -525,7 +525,7 @@ def _add_mc_flags(par, default_reps: int) -> None:
     par.add_argument("--seed", type=int, help="master seed (default 0)")
     par.add_argument("--workers", type=int,
                      help="worker threads, at most one per usable CPU and per replicate "
-                          "(default $SPARSEMIX_WORKERS, else the usable CPUs)")
+                          "(default $SPARSEMIX_WORKERS, else 1)")
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:

@@ -6,37 +6,60 @@ preallocated slot i, and the final reduction runs over the arrays in index
 order.  Worker threads only choose *which* slots they fill, never the
 stream or the order of the reduction, so reports are bit-identical for any
 worker count.  The default worker count comes from the SPARSEMIX_WORKERS
-environment variable (fallback: the usable CPUs); numpy releases the GIL
-inside the per-replicate kernels, so threads give real speedup when the
-step-up rule's tail is large.  At most one thread per usable CPU and per
-replicate is started, whatever the count asked for.
+environment variable (fallback: 1).  A replicate is a few scalar draws in
+Python and holds the GIL, so more threads mostly add their start-up cost.
+At most one thread per usable CPU and per replicate is started, whatever
+the count asked for.
 
-Stream 2: a replicate draws only the tail that a rule can reject.  Every
+Stream 3: a replicate draws only the tail that a rule can reject.  Every
 rule here sees the data through its p-values, which are i.i.d. U(0,1)
 under the null and erfc(s |Z| / sqrt 2) under the alternative, with
-s = sqrt(1 + tau^2/sigma^2) and Z standard normal.  A fixed threshold c^2
-rejects exactly the p-values at or below a = erfc(c / sqrt 2).  The step-up
-rule's critical index k is at most the number of p-values at or below
-a = alpha * m / m (Benjamini & Hochberg 1995), so it too rejects only
-there.  With z_a = Phi_inv_upper(a / 2) and q1 = erfc(z_a / (s sqrt 2)),
-the chance that a signal's p-value is in the tail, one replicate draws in
-this order:
+s = sqrt(1 + tau^2/sigma^2) and Z standard normal.  A signal's p-value is
+at or below t with chance G(t) = erfc(z_t / (s sqrt 2)), where
+z_t = Phi_inv_upper(t / 2).  A fixed threshold c^2 rejects exactly the
+p-values at or below a = erfc(c / sqrt 2).  The step-up rule's critical
+index k is at most the number of p-values at or below a = alpha * m / m
+(Benjamini & Hochberg 1995), so it too rejects only there.  With
+q1 = G(a), one replicate draws in this order:
 
 1. K ~ Bin(m, p), the signals (K = k in mc_conditional_k);
 2. N0 ~ Bin(m - K, a), the nulls in the tail;
 3. N1 ~ Bin(K, q1), the signals in the tail.
 
 A fixed threshold rejects V = N0 nulls and S = N1 signals, with no array at
-all.  For the step-up rule the N0 null p-values are a U and the N1
-alternative ones erfc(s Phi_inv_upper(W q1 / 2) / sqrt 2), with U, W
-uniform on [0, 1) and (0, 1]: conditioned on the tail they are uniform on
-[0, a] and the alternative's p-value law cut at a.  p_(k) comes from the
-helper bh_reject and step_up_reject use, and V and S count the tail
-p-values at or below it.  So V, S, K and the realized threshold have
-exactly the law of a draw of all m tests (sample, then apply_rule), but a
-seed gives other numbers than that full draw, stream 1, did.  A step-up
-replicate holds 8 bytes per tail test and up to 9 more while it sorts, so
-about 17 a bytes per test; a fixed-threshold one holds nothing per test.
+all; its replicates are the same as under stream 2.
+
+The step-up rule then walks down to its critical index with counts alone.
+With N(j) = #{p <= j alpha / m}, the walk j <- N(j) from j = m never rises
+and stops at the largest fixed point of N, which is BH's k (the largest j
+with N(j) >= j).  Its state is the level t = idx alpha / m of the current
+index and the counts N0, N1 at or below it, with idx = m and t = a at the
+start.  Given those counts, the null p-values at or below t are i.i.d.
+uniform on [0, t] and the signal ones i.i.d. from the signal's law cut at
+t, whatever the levels visited before.  So while 0 < n = N0 + N1 < idx a
+step sets t' = n alpha / m, draws N0 ~ Bin(N0, t'/t) and
+N1 ~ Bin(N1, G(t')/G(t)), and sets idx = n: exact in distribution.  It
+ends one of three ways:
+
+- n = 0: nothing is rejected;
+- n = idx, the fixed point: k = n, V = N0, S = N1, and p_(k) is the larger
+  of the two groups' maxima, t U^(1/N0) and G^-1(G(t) W^(1/N1)) with U, W
+  uniform on [0, 1) and (0, 1];
+- budget: after `steps` steps, once steps * B > n, the n p-values are drawn
+  (the null ones t U, the signal ones erfc(s Phi_inv_upper(W G(t) / 2) /
+  sqrt 2)) and p_(k) comes from the helper bh_reject and step_up_reject
+  use, with V and S counted at or below it.
+
+B = _STEP_COST = 128 is about what one step costs in p-values drawn, so
+the draw that ends a slow walk (at a level near 1) costs no more than the
+steps before it, and it holds fewer than B * steps p-values.  V, S, K and
+the realized threshold have exactly the law of a draw of all m tests
+(sample, then apply_rule), but a seed gives other numbers than that full
+draw (stream 1) or the tail draw at level a (stream 2) did.  A step-up
+replicate holds at most that small draw: at m = 2e5 and p = 1e-3 its peak
+is about 0.06 bytes per test at alpha = 0.1 and 2 at alpha = 0.97, and at
+m = 1e9 it ends at the fixed point with no array.  A fixed-threshold one
+holds nothing per test.
 
 Statistic conventions: FDP is V/R with 0/0 := 0; power is the discovered
 proportion S/K among the K true signals (0 when the sample has none); loss
@@ -76,7 +99,12 @@ __all__ = [
 
 # Version of the replicate draw above, recorded in the CLI's sidecars: the
 # same seed gives other numbers under another stream.
-STREAM = 2
+STREAM = 3
+
+# About what one thinning step of the step-up walk costs, in explicit tail
+# p-values.  It decides where the walk stops (module docstring), so it is
+# part of stream 3's definition, not a knob.
+_STEP_COST = 128
 
 
 @dataclass(frozen=True)
@@ -126,10 +154,11 @@ class GapStudy:
 
 
 def default_workers() -> int:
-    """SPARSEMIX_WORKERS when set, else the CPUs this process may run on."""
+    """SPARSEMIX_WORKERS when set, else 1: a replicate holds the GIL, so
+    more threads only add their start-up cost."""
     raw = os.environ.get("SPARSEMIX_WORKERS")
     if raw is None:
-        return _usable_cpus()
+        return 1
     try:
         workers = int(raw)
     except ValueError:
@@ -197,19 +226,45 @@ class _Tail:
     alpha: float | None
 
 
+def _alt_tail(t: float, s: float) -> float:
+    """G(t) = erfc(z_t / (s sqrt 2)) with z_t = Phi_inv_upper(t / 2): the
+    chance that a signal's p-value is at or below t."""
+    # A level below twice the smallest double is treated as that double.
+    return math.erfc(Phi_inv_upper(max(t / 2.0, 5e-324)) / (s * _SQRT2))
+
+
 def _tail(setting: TestingSetting, rule: Rule) -> _Tail:
     m = setting.int_m()
     s = math.sqrt(1.0 + setting.model.u)
     if isinstance(rule, BhRule):
         alpha = _need_alpha(rule)
         a = alpha * m / m
-        # A level below twice the smallest double is treated as that double.
-        z = float(Phi_inv_upper(max(a / 2.0, 5e-324)))
+        q1 = _alt_tail(a, s)
     else:
         alpha = None
         z = math.sqrt(threshold_sq(rule, setting))
         a = math.erfc(z / _SQRT2)
-    return _Tail(m=m, p=setting.model.p, a=a, q1=math.erfc(z / (s * _SQRT2)), s=s, alpha=alpha)
+        q1 = math.erfc(z / (s * _SQRT2))
+    return _Tail(m=m, p=setting.model.p, a=a, q1=q1, s=s, alpha=alpha)
+
+
+def _tail_pvalues(rng: np.random.Generator, n0: int, n1: int, t: float, g: float, s: float):
+    """(all, nulls, alts): n0 null p-values uniform on [0, t] and n1 signal
+    p-values from the signal's law cut at t, where G(t) = g, in one array."""
+    tail_p = np.empty(n0 + n1)
+    nulls = rng.random(out=tail_p[:n0])
+    nulls *= t
+    # W on (0, 1] gives |Z| = Phi_inv_upper(W g / 2) >= z_t / s, then the
+    # p-value erfc(s |Z| / sqrt 2), in place.
+    alts = rng.random(out=tail_p[n0:])
+    np.subtract(1.0, alts, out=alts)
+    alts *= g / 2.0
+    # Where g is subnormal the product can round to 0, outside the quantile's domain.
+    np.maximum(alts, 5e-324, out=alts)
+    z = Phi_inv_upper(alts)
+    z *= s / _SQRT2
+    special.erfc(z, out=alts)
+    return tail_p, nulls, alts
 
 
 def _replicate_counts(tail: _Tail, rng: np.random.Generator, k: int | None = None):
@@ -219,25 +274,35 @@ def _replicate_counts(tail: _Tail, rng: np.random.Generator, k: int | None = Non
     K = int(rng.binomial(tail.m, tail.p)) if k is None else k
     n0 = int(rng.binomial(tail.m - K, tail.a))
     n1 = int(rng.binomial(K, tail.q1))
-    if tail.alpha is None:
+    alpha = tail.alpha
+    if alpha is None:
         return n0, n1, K, None
-    tail_p = np.empty(n0 + n1)
-    nulls = rng.random(out=tail_p[:n0])
-    nulls *= tail.a
-    # W on (0, 1] gives |Z| = Phi_inv_upper(W q1 / 2) >= z_a / s, then the
-    # p-value erfc(s |Z| / sqrt 2), in place.
-    alts = rng.random(out=tail_p[n0:])
-    np.subtract(1.0, alts, out=alts)
-    alts *= tail.q1 / 2.0
-    # Where q1 is subnormal the product can round to 0, outside the quantile's domain.
-    np.maximum(alts, 5e-324, out=alts)
-    z = Phi_inv_upper(alts)
-    z *= tail.s / _SQRT2
-    special.erfc(z, out=alts)
-    crit = _critical_pvalue(tail_p, tail.alpha, tail.m)
-    if crit is None:
+    # n0 + n1 = #{p <= t} with t = idx alpha / m; walk idx down to BH's k.
+    idx, t, g, steps = tail.m, tail.a, tail.q1, 0
+    while 0 < n0 + n1 < idx:
+        n = n0 + n1
+        if steps * _STEP_COST > n:
+            tail_p, nulls, alts = _tail_pvalues(rng, n0, n1, t, g, tail.s)
+            crit = _critical_pvalue(tail_p, alpha, tail.m)
+            if crit is None:
+                return 0, 0, K, None
+            return int(np.count_nonzero(nulls <= crit)), int(np.count_nonzero(alts <= crit)), K, crit
+        t_next = n * alpha / tail.m
+        g_next = _alt_tail(t_next, tail.s)
+        if n0:
+            n0 = int(rng.binomial(n0, t_next / t))
+        if n1:
+            n1 = int(rng.binomial(n1, min(1.0, g_next / g)))
+        idx, t, g, steps = n, t_next, g_next, steps + 1
+    if n0 + n1 == 0:
         return 0, 0, K, None
-    return int(np.count_nonzero(nulls <= crit)), int(np.count_nonzero(alts <= crit)), K, crit
+    # A fixed point: all n0 + n1 p-values at or below t are rejected, and
+    # p_(k) is the largest, the larger of the two groups' maxima.
+    crit = t * rng.random() ** (1.0 / n0) if n0 else 0.0
+    if n1:
+        w = g * (1.0 - rng.random()) ** (1.0 / n1)
+        crit = max(crit, math.erfc(tail.s * Phi_inv_upper(max(w / 2.0, 5e-324)) / _SQRT2))
+    return n0, n1, K, crit
 
 
 def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k: int | None = None) -> dict:

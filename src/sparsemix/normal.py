@@ -74,6 +74,8 @@ def Phi_inv(q):
     whichever side of 1/2 the input sits, so no accuracy is lost to
     cancellation before the correction is applied.
     """
+    if type(q) is float:
+        return _phi_inv_float(q)
     arr = _checked(q, "q")
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ParameterError("q must lie strictly inside (0, 1)")
@@ -89,6 +91,22 @@ def Phi_inv(q):
     # has underflowed (ndtri is already exact to working precision there).
     step = np.where(dens > 1e-300, resid / np.where(dens > 0.0, dens, 1.0), 0.0)
     return _like(x - step, q)
+
+
+def _phi_inv_float(q: float) -> float:
+    """Phi_inv of a Python float: the same ufuncs on the same doubles as the
+    array path, so the same bits, without the array machinery."""
+    if not math.isfinite(q):
+        raise ParameterError("q must be finite")
+    if not 0.0 < q < 1.0:
+        raise ParameterError("q must lie strictly inside (0, 1)")
+    x = float(special.ndtri(q))
+    dens = float(np.exp(-0.5 * x * x)) * _INV_SQRT_2PI
+    if q <= 0.5:
+        resid = 0.5 * float(special.erfc(-x / _SQRT2)) - q
+    else:
+        resid = (1.0 - q) - 0.5 * float(special.erfc(x / _SQRT2))
+    return x - (resid / dens if dens > 1e-300 else 0.0)
 
 
 def Phi_inv_upper(q):

@@ -191,9 +191,10 @@ def _critical_pvalue(candidates: np.ndarray, alpha: float, m: int) -> float | No
     it rejects nothing, from the candidate p-values (left unmodified).
 
     The candidates must hold every p-value at or below t = N alpha / m, for
-    some N at least the number at or below alpha * m / m; others above t
-    may be among them.  Then k <= #{p <= p_(k)} <= #{p <= t} <= n, the
-    number of candidates, so p_(k) <= n alpha / m.  Only the candidates at
+    some N >= k (the number at or below alpha * m / m is one such N); others
+    above t may be among them.  Then p_(k) <= k alpha / m <= t, so
+    k <= #{p <= p_(k)} <= n, the number of candidates, and
+    p_(k) <= n alpha / m.  Only the candidates at
     or below that level are sorted: they hold every p-value there, so their
     ranks are their ranks among all m.
     """

@@ -330,7 +330,7 @@ def test_sampled_runs_record_the_stream(tmp_path, capsys):
         code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{name}.csv"))
         assert code == 0
     stream = {name: json.loads((tmp_path / f"{name}.json").read_text()).get("stream") for name in runs}
-    assert stream == {"sim": 2, "mc": 2, "exact": None, "risk": None}
+    assert stream == {"sim": 3, "mc": 3, "exact": None, "risk": None}
 
 
 def test_simulate_config_file(tmp_path, capsys):

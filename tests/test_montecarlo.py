@@ -1,13 +1,13 @@
 """Monte-Carlo runner: determinism, agreement with closed forms, gap study."""
 
 import math
-import os
 import tracemalloc
 from concurrent.futures import Future
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy import special
 
 from sparsemix import montecarlo, procedures
 from sparsemix import (
@@ -16,6 +16,7 @@ from sparsemix import (
     FixedThresholdRule,
     Losses,
     McEstimate,
+    McReport,
     MixtureModel,
     OracleRule,
     ParameterError,
@@ -35,6 +36,7 @@ from sparsemix import (
     threshold_gap_study,
     threshold_sq,
 )
+from sparsemix.normal import Phi_inv_upper
 
 
 def _setting(p=0.05, u=16.0, m=2000, delta0=1.0, deltaA=1.0):
@@ -65,10 +67,12 @@ def test_mc_estimate_validation():
 
 
 def test_default_workers_env(monkeypatch):
+    """One worker unless SPARSEMIX_WORKERS says otherwise, whatever the
+    CPUs: a replicate holds the GIL, so threads only add start-up cost."""
     monkeypatch.delenv("SPARSEMIX_WORKERS", raising=False)
-    assert default_workers() == len(os.sched_getaffinity(0))
+    assert default_workers() == 1
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(5)))
-    assert default_workers() == 5
+    assert default_workers() == 1
     monkeypatch.setenv("SPARSEMIX_WORKERS", "6")
     assert default_workers() == 6
     monkeypatch.setenv("SPARSEMIX_WORKERS", "zero")
@@ -208,7 +212,7 @@ def _setting_sigma(m=400):
 
 @pytest.mark.parametrize("rule", [BhRule(alpha=0.2), UniversalRule()])
 def test_default_worker_count_gives_the_serial_reports(monkeypatch, rule):
-    """The default policy (one thread per usable CPU) changes no number."""
+    """The default worker count changes no number, here on three usable CPUs."""
     monkeypatch.delenv("SPARSEMIX_WORKERS", raising=False)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(3)))
     setting = _setting_sigma()
@@ -225,11 +229,12 @@ def test_default_worker_count_gives_the_serial_reports(monkeypatch, rule):
 # -----------------------------------------------------------------------
 # The tail draw against the full draw.
 #
-# The loop draws only the tail of p-values a rule can reject (stream 2).
-# The reference below is the full draw it replaced (stream 1), written from
-# the public sample, apply_rule and confusion.  The two share no stream, so
-# they are compared in distribution: the means of V, S, K, R, the loss and
-# the realized threshold agree within 4.5 two-sample standard errors.
+# The loop draws only the tail of p-values a rule can reject, and the
+# step-up rule walks to its fixed point with counts (stream 3).  The
+# reference below is the full draw (stream 1), written from the public
+# sample, apply_rule and confusion.  The two share no stream, so they are
+# compared in distribution: the means of V, S, K, R, FDP, the loss and the
+# realized threshold agree within 4.5 two-sample standard errors.
 
 
 def _full_draw(setting, rule, rng, k=None):
@@ -264,7 +269,8 @@ def _columns(draw, setting, rule, reps, seed, k=None):
     ).T
     losses = setting.losses
     loss = losses.delta0 * v + losses.deltaA * (signals - s)
-    return {"V": v, "S": s, "K": signals, "R": v + s, "loss": loss, "c_sq": c_sq}
+    fdp = np.divide(v, v + s, out=np.zeros_like(v), where=v + s > 0)
+    return {"V": v, "S": s, "K": signals, "R": v + s, "FDP": fdp, "loss": loss, "c_sq": c_sq}
 
 
 def _assert_same_law(tail, full):
@@ -327,6 +333,115 @@ def test_full_draw_reference_matches_exact_oracle_risk():
     assert abs(loss.mean() - exact) <= 3.0 * np.std(loss, ddof=1) / math.sqrt(loss.size)
 
 
+# The walk against the explicit tail draw.
+#
+# At m = 1e5 the full draw is too slow to repeat thousands of times, and the
+# walk reaches its fixed point and its budget there, which it cannot at
+# m = 400.  The reference is the tail draw of stream 2, written here: every
+# p-value at or below a = alpha m / m, then the critical p-value of them.
+
+
+def _explicit_tail_draw(setting, rule, rng, k=None):
+    """(V, S, K, realized c^2) from the n0 + n1 tail p-values at level a."""
+    tail = montecarlo._tail(setting, rule)
+    m = setting.int_m()
+    signals = int(rng.binomial(m, tail.p)) if k is None else k
+    n0 = int(rng.binomial(m - signals, tail.a))
+    n1 = int(rng.binomial(signals, tail.q1))
+    nulls = tail.a * rng.random(n0)
+    w = np.maximum((1.0 - rng.random(n1)) * tail.q1 / 2.0, 5e-324)
+    alts = special.erfc(tail.s * Phi_inv_upper(w) / math.sqrt(2.0))
+    crit = procedures._critical_pvalue(np.concatenate([nulls, alts]), tail.alpha, m)
+    v = 0 if crit is None else int(np.count_nonzero(nulls <= crit))
+    s = 0 if crit is None else int(np.count_nonzero(alts <= crit))
+    return v, s, signals, float(procedures._step_up_threshold(crit, m, tail.alpha))
+
+
+def _walk_endings(monkeypatch, setting, rule, reps, seed, k=None):
+    """How each replicate's walk ended: "zero" (nothing rejected), "fixed"
+    (the fixed point) or "budget" (an explicit draw of the tail left)."""
+    budget = []
+    critical_pvalue = montecarlo._critical_pvalue
+
+    def spy(*args):
+        budget.append(True)
+        return critical_pvalue(*args)
+
+    monkeypatch.setattr(montecarlo, "_critical_pvalue", spy)
+    tail = montecarlo._tail(setting, rule)
+    endings = set()
+    for i in range(reps):
+        budget.clear()
+        crit = montecarlo._replicate_counts(tail, montecarlo._replicate_rng(seed, i), k)[3]
+        endings.add("budget" if budget else "zero" if crit is None else "fixed")
+    return endings
+
+
+def _large_setting(p, u, m=10**5):
+    return TestingSetting(model=MixtureModel(p=p, sigma_sq=2.7, tau_sq=2.7 * u), losses=Losses(1.0, 2.0), m=m)
+
+
+@pytest.mark.parametrize(
+    "p, u, alpha, k, reps, endings",
+    [
+        (0.05, 9.0, 0.1, None, 1000, {"fixed"}),
+        (0.05, 9.0, 0.5, None, 1000, {"fixed"}),
+        (0.05, 9.0, 0.97, None, 600, {"fixed"}),
+        (1e-3, 23.0, 0.97, None, 600, {"budget"}),
+        (1e-3, 25.0, 0.2, 10, 1500, {"budget"}),
+        (1e-3, 25.0, 1e-5, 10, 3000, {"zero", "fixed", "budget"}),
+        (1e-5, 25.0, 1e-4, None, 3000, {"zero", "budget"}),
+        (1e-3, 23.0, 1.0 - 1e-5, 0, 400, {"fixed"}),  # p_(k) is a null's maximum
+    ],
+    ids=["fixed-0.1", "fixed-0.5", "fixed-0.97", "budget-0.97", "k10-0.2", "k10-1e-5", "zero-1e-4", "k0-near-1"],
+)
+def test_walk_has_the_law_of_the_explicit_tail_draw(monkeypatch, p, u, alpha, k, reps, endings):
+    setting, rule = _large_setting(p, u), BhRule(alpha=alpha)
+    walk = _columns(_tail_draw, setting, rule, reps, seed=41, k=k)
+    _assert_same_law(walk, _columns(_explicit_tail_draw, setting, rule, reps, seed=42, k=k))
+    report = (
+        mc_run(setting, rule, reps, seed=41, workers=1)
+        if k is None
+        else mc_conditional_k(setting, rule, k, reps, seed=41, workers=1)
+    )
+    assert report.fdr.mean == pytest.approx(walk["FDP"].mean(), rel=1e-12)
+    assert report.risk.mean == pytest.approx(walk["loss"].mean(), rel=1e-12)
+    assert _walk_endings(monkeypatch, setting, rule, reps, seed=41, k=k) == endings
+
+
+@pytest.mark.parametrize(
+    "rule, report",
+    [
+        (
+            UniversalRule(d=-4.0),
+            McReport(
+                risk=McEstimate(7300.46, 15.971740605180877, 50),
+                fdr=McEstimate(0.000988840680654221, 0.00011540967782446135, 50),
+                fwer=McEstimate(0.84, 0.05237229365663817, 50),
+                ev=McEstimate(1.34, 0.15547163269043188, 50),
+                power=McEstimate(0.2708686255453266, 0.0009240630477188206, 50),
+            ),
+        ),
+        (
+            OracleRule(),
+            McReport(
+                risk=McEstimate(5681.74, 13.460139490437712, 50),
+                fdr=McEstimate(0.17523697053720422, 0.0009541441444835516, 50),
+                fwer=McEstimate(1.0, 0.0, 50),
+                ev=McEstimate(514.58, 3.168092196143493, 50),
+                power=McEstimate(0.4838288645126729, 0.0010027523030820443, 50),
+            ),
+        ),
+    ],
+    ids=["universal", "oracle"],
+)
+def test_fixed_rule_reports_keep_stream_2(rule, report):
+    """A fixed threshold never walks, so its replicates are stream 2's: these
+    are the reports stream 2 gave at this seed."""
+    setting = TestingSetting(model=MixtureModel(p=0.05, sigma_sq=2.7, tau_sq=40.0), losses=Losses(1.0, 2.0), m=10**5)
+    assert mc_run(setting, rule, 50, seed=31, workers=1) == report
+
+
 def test_step_up_level_still_required():
     with pytest.raises(ParameterError, match="bh rule has no level"):
         mc_run(_setting(m=50), BhRule(), 4, seed=0, workers=1)
@@ -349,18 +464,25 @@ def _replicate_peak_bytes_per_test(rule, m=200_000) -> float:
 
 
 def test_step_up_replicate_peak_memory():
-    """A step-up replicate holds the p-values of its tail, about alpha m of
-    them, and sorts the tenth of those that can still be p_(k); a draw of
-    all m tests would add 8 bytes per test and break the bound."""
-    assert _replicate_peak_bytes_per_test(BhRule(alpha=0.1)) <= 1.04
+    """A step-up replicate walks with counts and draws p-values only for the
+    tail its budget leaves, fewer than 128 per step; a draw of the alpha m
+    p-values at the first level would take about 1 byte per test."""
+    assert _replicate_peak_bytes_per_test(BhRule(alpha=0.1)) <= 0.06
 
 
-@pytest.mark.parametrize("alpha, bound", [(0.5, 8.10), (0.97, 17.95)])
+@pytest.mark.parametrize("alpha, bound", [(0.5, 0.10), (0.97, 2.10)])
 def test_step_up_replicate_peak_memory_at_high_levels(alpha, bound):
-    """Where most tests are in the tail it is most of m, and most of it is
-    sorted: 8 bytes per tail test, a byte-per-candidate mask and the copy
-    that is sorted."""
+    """Near alpha = 1 the walk shrinks its count by a factor of about alpha a
+    step, so its budget leaves the most to draw, a few percent of m here:
+    8 bytes per p-value drawn, a byte-per-candidate mask and the sorted copy."""
     assert _replicate_peak_bytes_per_test(BhRule(alpha=alpha)) <= bound
+
+
+def test_step_up_replicate_memory_does_not_grow_with_m():
+    """At m = 1e9 the walk ends at its fixed point with no array; at m = 1e5
+    it ends on its budget with a small one."""
+    small = _replicate_peak_bytes(BhRule(alpha=0.1), m=10**5)
+    assert _replicate_peak_bytes(BhRule(alpha=0.1), m=10**9) <= small + 2048
 
 
 @pytest.mark.parametrize("rule", [OracleRule(), UniversalRule()])

@@ -14,6 +14,7 @@ from sparsemix import (
     normal_tail_approx,
     phi,
 )
+from sparsemix import normal
 
 
 def test_phi_at_zero():
@@ -91,6 +92,54 @@ def test_Phi_inv_rejects_endpoints():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ParameterError):
             Phi_inv(bad)
+
+
+def test_Phi_inv_of_a_float_matches_the_array_path_bit_for_bit():
+    """A Python float takes a scalar path; it must give the array path's
+    bits, on both sides of 1/2 and at the ends of (0, 1)."""
+    rng = np.random.default_rng(17)
+    q = np.concatenate(
+        [
+            rng.random(20_000),
+            10.0 ** rng.uniform(-323.5, 0.0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
+            [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324, np.nextafter(1.0, 0.0)],
+        ]
+    )
+    q = q[(q > 0.0) & (q < 1.0)]
+    scalar = [Phi_inv(float(v)) for v in q]
+    assert all(type(x) is float for x in scalar)
+    np.testing.assert_array_equal(np.array(scalar).view(np.int64), Phi_inv(q).view(np.int64))
+    upper = np.array([Phi_inv_upper(float(v)) for v in q[:2000]])
+    np.testing.assert_array_equal(upper.view(np.int64), Phi_inv_upper(q[:2000]).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "q must be finite"),
+        (math.inf, "q must be finite"),
+        (-math.inf, "q must be finite"),
+        (0.0, r"q must lie strictly inside \(0, 1\)"),
+        (1.0, r"q must lie strictly inside \(0, 1\)"),
+    ],
+)
+def test_Phi_inv_errors_are_the_same_for_floats_and_arrays(bad, message):
+    for q in (bad, np.float64(bad), np.asarray(bad), np.array([0.5, bad])):
+        with pytest.raises(ParameterError, match=message):
+            Phi_inv(q)
+
+
+def test_Phi_inv_keeps_the_array_path_for_numpy_scalars(monkeypatch):
+    """Only a Python float takes the scalar path."""
+    calls = []
+    monkeypatch.setattr(normal, "_phi_inv_float", lambda q: calls.append(q) or 0.0)
+    for q in (np.float64(0.3), np.asarray(0.3), np.array([0.3])):
+        Phi_inv(q)
+    assert calls == []
+    assert Phi_inv(0.3) == 0.0 and calls == [0.3]
+    assert isinstance(Phi_inv(np.float64(0.3)), float)
+    assert Phi_inv(np.asarray(0.3)) == Phi_inv(np.array([0.3]))[0]
 
 
 def test_Phi_inv_upper_matches_complement():

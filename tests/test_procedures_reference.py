@@ -222,6 +222,29 @@ def test_critical_pvalue_of_the_tail_matches_the_padded_vector(case):
     assert procedures._step_up_threshold(crit, m, alpha) == expected.realized_threshold_sq
 
 
+@settings(max_examples=400, deadline=None)
+@given(step_up_inputs())
+@example((np.array([0.05, 0.05, 0.05, 0.5]), 0.2))  # ties at a critical value
+@example((np.full(10, float(np.nextafter(0.949, 1.0))), 0.949))  # the last critical value above alpha
+def test_counting_walk_stops_at_the_step_up_index(case):
+    """From k = m, k <- #{p <= k alpha / m} falls to the step-up rule's k,
+    which the Monte-Carlo walk relies on, and p_(k) is the largest p-value
+    at or below k alpha / m."""
+    pvals, alpha = case
+    m = pvals.size
+    k, level = m, alpha * m / m
+    while True:
+        below = int(np.count_nonzero(pvals <= level))
+        assert below <= k
+        if below == k:
+            break
+        k, level = below, below * alpha / m
+    expected = bh_reject(pvals, alpha)
+    assert k == expected.num_rejected
+    if k:
+        assert pvals[pvals <= level].max() == pvals[expected.rejected].max()
+
+
 def assert_same_pvalues(x, sigma):
     with np.errstate(over="ignore"):  # |x| / sigma past the largest double
         kind, expected = outcome(reference_pvalues, x, sigma)
