@@ -33,6 +33,7 @@ from .model import (
     type1_exact,
     type2_exact,
 )
+from .normal import _SQRT2
 
 __all__ = [
     "BfdrLevel",
@@ -46,9 +47,6 @@ __all__ = [
     "bfdr_optimality_diagnostics",
     "bfdr_identity_residual",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class BfdrLevel:

@@ -33,7 +33,6 @@ from .model import (
     Losses,
     MixtureModel,
     TestingSetting,
-    derive,
     error_rates,
 )
 from .montecarlo import mc_run

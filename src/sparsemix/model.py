@@ -322,7 +322,7 @@ def type2_asymptotic(u: float, v: float, consts: AsymptoticConstants) -> float:
     return math.sqrt(2.0 * math.log(vf) / (math.pi * uf))
 
 
-def sample(setting: TestingSetting, seed, out=None) -> tuple[np.ndarray, np.ndarray]:
+def sample(setting: TestingSetting, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw (truth, X) for all m tests.
 
     truth_i ~ Bernoulli(p); X_i ~ N(0, sigma^2) under the null and
@@ -331,13 +331,12 @@ def sample(setting: TestingSetting, seed, out=None) -> tuple[np.ndarray, np.ndar
 
     Fully determined by the seed; the draw order is fixed (one uniform
     block for truth, one normal block for X) so results are reproducible
-    across versions of the calling code.  ``out`` (a float64 array of m
-    elements) receives X, with the same values as without it.
+    across versions of the calling code.
     """
     m = setting.int_m()
     model = setting.model
     rng = np.random.default_rng(seed)
-    buf = rng.random(m, out=out)
+    buf = rng.random(m)
     truth = buf < model.p
     # The normals go into the uniforms' block, which truth no longer needs.
     # Each is scaled by its component's sd without building a scale array:

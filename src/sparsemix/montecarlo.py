@@ -47,8 +47,8 @@ ends one of three ways:
   uniform on [0, 1) and (0, 1];
 - budget: after `steps` steps, once steps * B > n, the n p-values are drawn
   (the null ones t U, the signal ones erfc(s Phi_inv_upper(W G(t) / 2) /
-  sqrt 2)) and p_(k) comes from the helper bh_reject and step_up_reject
-  use, with V and S counted at or below it.
+  sqrt 2)) and p_(k) comes from the helper bh_reject uses, with V and S
+  counted at or below it.
 
 B = _STEP_COST = 128 is about what one step costs in p-values drawn, so
 the draw that ends a slow walk (at a level near 1) costs no more than the
@@ -81,7 +81,7 @@ from scipy import special
 from .bfdr import BfdrLevel, gw_threshold
 from .errors import ParameterError
 from .model import TestingSetting
-from .normal import _SQRT2, Phi_inv_upper
+from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
 from .procedures import ConfusionCounts, _critical_pvalue, _step_up_threshold, bonferroni_threshold
 from .rules import BhRule, Rule, _need_alpha, threshold_sq
 
@@ -229,8 +229,7 @@ class _Tail:
 def _alt_tail(t: float, s: float) -> float:
     """G(t) = erfc(z_t / (s sqrt 2)) with z_t = Phi_inv_upper(t / 2): the
     chance that a signal's p-value is at or below t."""
-    # A level below twice the smallest double is treated as that double.
-    return math.erfc(Phi_inv_upper(max(t / 2.0, 5e-324)) / (s * _SQRT2))
+    return math.erfc(_z_of_pvalue(t) / (s * _SQRT2))
 
 
 def _tail(setting: TestingSetting, rule: Rule) -> _Tail:
@@ -301,7 +300,7 @@ def _replicate_counts(tail: _Tail, rng: np.random.Generator, k: int | None = Non
     crit = t * rng.random() ** (1.0 / n0) if n0 else 0.0
     if n1:
         w = g * (1.0 - rng.random()) ** (1.0 / n1)
-        crit = max(crit, math.erfc(tail.s * Phi_inv_upper(max(w / 2.0, 5e-324)) / _SQRT2))
+        crit = max(crit, math.erfc(tail.s * _z_of_pvalue(w) / _SQRT2))
     return n0, n1, K, crit
 
 

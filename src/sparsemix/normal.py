@@ -118,6 +118,13 @@ def Phi_inv_upper(q):
     return -Phi_inv(q)
 
 
+def _z_of_pvalue(p: float) -> float:
+    """The |Z| whose two-sided p-value is p: Phi_inv_upper(p / 2).  A p-value
+    below twice the smallest double (one that underflowed to 0 included) is
+    treated as that double."""
+    return Phi_inv_upper(max(p / 2.0, 5e-324))
+
+
 @dataclass(frozen=True)
 class TailApprox:
     """Leading-order two-sided tail P(|Z| > c) ~ 2 phi(c)/c.

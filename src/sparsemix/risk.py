@@ -22,7 +22,6 @@ from .errors import ParameterError
 from .model import (
     AsymptoticConstants,
     TestingSetting,
-    ThresholdSq,
     derive,
     oracle_threshold_sq,
     type1_exact,

@@ -24,10 +24,11 @@ from .errors import ParameterError
 from .model import TestingSetting, ThresholdSq, derive, oracle_threshold_sq
 from .procedures import (
     RejectionResult,
+    bh_reject,
     bonferroni_threshold,
     fixed_threshold_reject,
+    pvalues,
     replicate_threshold,
-    step_up_reject,
     universal_threshold,
 )
 
@@ -231,7 +232,9 @@ def apply_rule(rule: Rule, x, setting: TestingSetting) -> RejectionResult:
     """Apply a rule to one sample of test statistics; x is left unmodified."""
     sigma = setting.model.sigma
     if isinstance(rule, BhRule):
-        return step_up_reject(x, sigma, _need_alpha(rule))
+        # The missing level is reported before anything about x.
+        alpha = _need_alpha(rule)
+        return bh_reject(pvalues(x, sigma), alpha)
     return fixed_threshold_reject(x, sigma, threshold_sq(rule, setting))
 
 

@@ -361,16 +361,6 @@ def test_sample_matches_a_scale_array_draw(p, sigma_sq):
     assert got_x.tobytes() == x.tobytes()
 
 
-def test_sample_out_receives_the_draw():
-    setting = _setting()
-    truth, x = sample(setting, 7)
-    buf = np.full(x.size, np.nan)
-    got_truth, got_x = sample(setting, 7, out=buf)
-    assert got_x is buf
-    np.testing.assert_array_equal(got_truth, truth)
-    assert got_x.tobytes() == x.tobytes()
-
-
 def test_sample_signal_frequency():
     setting = _setting(p=0.1, m=10**5)
     truth, _ = sample(setting, 0)

@@ -1,9 +1,14 @@
-"""The package surface: one export list, built from the modules' own."""
+"""The package surface: one export list, built from the modules' own, and
+no module importing a name it never uses."""
+
+import ast
+from pathlib import Path
 
 import sparsemix
 from sparsemix import bfdr, errors, experiments, model, montecarlo, normal, procedures, risk, rules
 
 MODULES = (errors, normal, model, risk, bfdr, procedures, rules, montecarlo, experiments)
+SRC = Path(sparsemix.__file__).parent
 
 
 def test_package_exports_every_module_export():
@@ -15,3 +20,28 @@ def test_package_exports_every_module_export():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(sparsemix, name) is getattr(module, name), name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never references.  Names listed in its
+    __all__ count as referenced; __future__ and star imports are skipped."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_modules_use_every_name_they_import():
+    assert [bad for path in sorted(SRC.glob("*.py")) for bad in _unused_imports(path)] == []

@@ -1,6 +1,7 @@
 """Rule descriptors: resolution to thresholds, sample application, config round-trip."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +135,47 @@ def test_apply_rule_bh_matches_manual():
     result = apply_rule(BhRule(alpha=0.2), x, setting)
     want = bh_reject(pvalues(x, 1.0), 0.2)
     np.testing.assert_array_equal(result.rejected, want.rejected)
+
+
+def _stand_in_setting(sigma, m=500.0):
+    """What apply_rule reads of a setting.  A MixtureModel only holds a
+    finite positive sigma; this reaches apply_rule's own checks with any."""
+    return SimpleNamespace(m=m, model=SimpleNamespace(sigma=sigma))
+
+
+def test_apply_rule_reports_a_missing_level_before_x():
+    with pytest.raises(ParameterError, match="bh rule has no level"):
+        apply_rule(BhRule(), np.array([0.5, np.nan]), _setting(m=2.0))
+
+
+@pytest.mark.parametrize(
+    "x, sigma",
+    [
+        ([0.5, np.nan], 1.0),
+        ([np.inf, 0.5], 1.0),
+        ([0.5, np.nan], 0.0),  # x before sigma
+        ([[np.nan]], 1.0),  # x before the shape
+        ([0.5], 0.0),
+        ([0.5], np.nan),
+        ([], 0.0),  # sigma before the shape
+        ([[0.1, 0.2]], 1.0),
+        ([], 1.0),
+    ],
+)
+def test_apply_rule_bh_errors_match_the_p_value_path(x, sigma):
+    x = np.asarray(x, dtype=float)
+    with pytest.raises(ParameterError) as want:
+        bh_reject(pvalues(x, sigma), 0.1)
+    with pytest.raises(ParameterError) as got:
+        apply_rule(BhRule(alpha=0.1), x, _stand_in_setting(sigma))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rule", [FixedThresholdRule(c_sq=4.0), UniversalRule()])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_apply_rule_fixed_checks_x_before_sigma(rule, sigma):
+    with pytest.raises(ParameterError, match="x must be finite"):
+        apply_rule(rule, np.array([0.5, np.nan]), _stand_in_setting(sigma))
 
 
 def test_rule_config_round_trip():
