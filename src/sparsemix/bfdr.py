@@ -79,8 +79,13 @@ class BfdrDiagnostics:
 
 
 def _tail_half(x: float) -> float:
-    """1 - Phi(x) for x >= 0, full relative accuracy."""
-    return 0.5 * special.erfc(x / _SQRT2)
+    """1 - Phi(x) for x >= 0, full relative accuracy.
+
+    This and the log_ndtr terms below turn scipy's results into Python
+    floats at once: the same IEEE operations follow, without numpy-scalar
+    dispatch in every bisection step.
+    """
+    return 0.5 * float(special.erfc(x / _SQRT2))
 
 
 def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
@@ -100,7 +105,7 @@ def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
         return num / (num + p * alt_tail)
     # Deep tail: both tails underflow; work with the log of the tail ratio
     # h = (1 - Phi(c/s)) / (1 - Phi(c)), so BFDR = 1 / (1 + (p/(1-p)) h).
-    log_ratio = math.log(p / (1.0 - p)) + special.log_ndtr(-c / s) - special.log_ndtr(-c)
+    log_ratio = math.log(p / (1.0 - p)) + float(special.log_ndtr(-c / s)) - float(special.log_ndtr(-c))
     if log_ratio > 36.0:
         # 1/(1+e^x) = e^{-x} to double precision; underflows harmlessly to 0.
         return math.exp(-log_ratio)
@@ -176,7 +181,7 @@ def _gw_value(model: MixtureModel, c: float) -> float:
     den = (1.0 - p) * t0 + p * ta
     if den > 0.0 and t0 > 0.0:
         return t0 / den
-    log_ratio = math.log(p) + special.log_ndtr(-c / s) - special.log_ndtr(-c)
+    log_ratio = math.log(p) + float(special.log_ndtr(-c / s)) - float(special.log_ndtr(-c))
     if log_ratio > 36.0:
         # (1-p) is negligible next to e^{log_ratio}.
         return math.exp(-log_ratio)

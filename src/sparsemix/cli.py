@@ -6,7 +6,10 @@ carrying the effective configuration, seed, and the toolkit, numpy and
 scipy versions (Generator streams are promised only within a numpy
 version); a sampled run also records the version of its replicate draw
 ("stream").  With no --out the CSV goes to stdout, so runs can be piped or
-diffed directly.
+diffed directly.  An existing output file is overwritten in place and cut
+to the new length, never truncated first: on ext4 (auto_da_alloc) closing
+a file that was truncated from non-empty starts write-back, which costs
+more than the rest of a short simulate call.  Nothing is fsynced.
 Identical invocations produce byte-identical CSV regardless of worker
 count — parallelism never touches streams or reduction order.
 
@@ -27,6 +30,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -63,8 +68,10 @@ __all__ = ["main", "build_parser", "ConfigError"]
 # flight draws nothing per test for a fixed threshold.  For the step-up
 # rule it draws fewer than 128 p-values per step of its walk, and never
 # more than its first tail: up to about 18 bytes per test at a level near
-# 1.  A run keeps six floats per replicate, so at the bounds a run needs up
-# to 1.8 GB per worker for its draws and 48 MB for its statistics.  Exact-mode grid points need no sampling, so
+# 1.  A run keeps six floats per replicate in one table, so at the bounds a
+# run needs up to 1.8 GB per worker for its draws and 48 MB for its
+# statistics, and as much again while their standard deviations are taken.
+# Exact-mode grid points need no sampling, so
 # only the grid length bounds them.
 MAX_M = 10**8
 MAX_REPS = 10**6
@@ -111,13 +118,24 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Path.write_text without O_TRUNC: write over the old bytes, then cut a
+    regular file to the new length (a device such as /dev/null cannot be
+    cut)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as file:
+        file.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            file.truncate()
+
+
 def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:
     text = _csv_text(columns, rows)
     if out is None:
         sys.stdout.write(text)
         return
     path = Path(out)
-    path.write_text(text)
+    _write_text(path, text)
     sidecar = {
         "version": __version__,
         "numpy": np.__version__,
@@ -132,7 +150,7 @@ def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:
     side = path.with_suffix(".json")
     if side == path:
         side = path.with_name(path.name + ".meta.json")
-    side.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_text(side, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path} and {side}")
 
 

@@ -2,14 +2,15 @@
 
 Determinism contract: every replicate i draws from its own generator seeded
 by SeedSequence(master_seed, spawn_key=(i,)), writes its statistics into
-preallocated slot i, and the final reduction runs over the arrays in index
-order.  Worker threads only choose *which* slots they fill, never the
-stream or the order of the reduction, so reports are bit-identical for any
-worker count.  The default worker count comes from the SPARSEMIX_WORKERS
-environment variable (fallback: 1).  A replicate is a few scalar draws in
-Python and holds the GIL, so more threads mostly add their start-up cost.
-At most one thread per usable CPU and per replicate is started, whatever
-the count asked for.
+column i of one preallocated table with a row per statistic, and the final
+reduction runs along the rows of that table, each in index order.  Worker
+threads only choose *which* columns they fill, never the stream or the
+order of the reduction, so reports are bit-identical for any worker count.
+The default worker count comes from the SPARSEMIX_WORKERS environment
+variable (fallback: 1).  A replicate is a few scalar draws in Python and
+holds the GIL, so more threads mostly add their start-up cost.  At most one
+thread per usable CPU and per replicate is started, whatever the count
+asked for.
 
 Stream 3: a replicate draws only the tail that a rule can reject.  Every
 rule here sees the data through its p-values, which are i.i.d. U(0,1)
@@ -304,12 +305,17 @@ def _replicate_counts(tail: _Tail, rng: np.random.Generator, k: int | None = Non
     return n0, n1, K, crit
 
 
-def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k: int | None = None) -> dict:
+# McReport's fields in the row order of the replicate table; the last is
+# kept only for the step-up rule with a level.
+_STATS = ("risk", "fdr", "fwer", "ev", "power", "threshold_gap")
+
+
+def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k: int | None = None) -> np.ndarray:
     """Shared replicate loop; every replicate has K = k signals when k is given.
 
-    Returns the per-replicate statistics under their McReport field names,
-    each an array in index order; "threshold_gap" is present only for the
-    step-up rule with a level.
+    Returns the per-replicate statistics as one C-contiguous table with a
+    row per name in _STATS, replicates in index order along each row; the
+    threshold_gap row is there only for the step-up rule with a level.
     """
     reps = _check_reps(reps)
     m = setting.int_m()
@@ -319,12 +325,10 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
     # Resolve once: a fixed threshold is the same for every replicate, and
     # resolving may itself be expensive (bisection).
     tail = _tail(setting, rule)
-    loss = np.empty(reps)
-    fdp = np.empty(reps)
-    any_false = np.empty(reps)
-    v_count = np.empty(reps)
-    tdp = np.empty(reps)
-    gaps = np.empty(reps) if gw_z is not None else None
+    names = _STATS if gw_z is not None else _STATS[:-1]
+    table = np.empty((len(names), reps))
+    loss, fdp, any_false, v_count, tdp, *gap_row = table  # row views
+    gaps = gap_row[0] if gap_row else None
 
     def fill(lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -341,14 +345,19 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
                 gaps[i] = abs(bh_z - gw_z)
 
     _parallel_fill(fill, reps, workers)
-    stats = {"risk": loss, "fdr": fdp, "fwer": any_false, "ev": v_count, "power": tdp}
-    if gaps is not None:
-        stats["threshold_gap"] = gaps
-    return stats
+    return table
 
 
-def _report(stats: dict) -> McReport:
-    return McReport(**{name: McEstimate.from_samples(values) for name, values in stats.items()})
+def _report(table: np.ndarray) -> McReport:
+    """McEstimate.from_samples of every row, from one mean and one standard
+    deviation along the rows: the same reductions, so the same bits."""
+    reps = table.shape[1]
+    means = np.mean(table, axis=1)
+    errors = np.std(table, axis=1, ddof=1) / math.sqrt(reps)
+    return McReport(**{
+        name: McEstimate(mean=float(mean), std_error=float(error), reps=reps)
+        for name, mean, error in zip(_STATS, means, errors)
+    })
 
 
 def mc_run(setting: TestingSetting, rule: Rule, reps, seed, workers: int | None = None) -> McReport:
@@ -388,7 +397,7 @@ def threshold_gap_study(
     if not (epsilon > 0.0) or math.isnan(epsilon):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
     rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
-    gaps = _replicates(setting, rule, reps, seed, workers)["threshold_gap"]
+    gaps = _replicates(setting, rule, reps, seed, workers)[_STATS.index("threshold_gap")]
     return GapStudy(
         gap=McEstimate.from_samples(gaps),
         exceed_frac=float(np.mean(gaps > epsilon)),

@@ -109,6 +109,37 @@ def test_bfdr_forward_frozen_value():
     assert bfdr_of_threshold(_model(), 3.841459) == pytest.approx(0.5790797545071101, rel=1e-13)
 
 
+# Values recorded before the scalar tails returned Python floats; the second
+# of each pair takes the deep-tail (log_ndtr) branch.
+@pytest.mark.parametrize(
+    "fn, model, x, value",
+    [
+        (bfdr_of_threshold, _model(p=0.01, u=20.0), 9.0, 0.3426793527388618),
+        (bfdr_of_threshold, _model(p=0.01, u=0.01), 1600.0, 0.034534846091623154),
+        (bfdr._gw_value, _model(p=0.01, u=20.0), 3.0, 0.3461407603422847),
+        (bfdr._gw_value, _model(p=0.01, u=0.01), 40.0, 0.03488368292083212),
+    ],
+)
+def test_scalar_tails_are_floats_with_the_recorded_bits(fn, model, x, value):
+    result = fn(model, x)
+    assert type(result) is float
+    assert result.hex() == value.hex()
+
+
+@pytest.mark.parametrize(
+    "p, u, alpha, gw, bf",
+    [
+        (0.01, 25.0, 0.05, 13.423301865071418, 13.402071337821388),
+        (3.6655368972165453e-293, 1.6791230847465808, 0.26004757262853156,
+         2150.5198507522805, 2150.5198507522805),
+    ],
+)
+def test_solved_thresholds_keep_their_recorded_bits(p, u, alpha, gw, bf):
+    model = _model(p=p, u=u)
+    assert float(gw_threshold(model, BfdrLevel(alpha))).hex() == gw.hex()
+    assert float(bfdr_threshold(model, BfdrLevel(alpha))).hex() == bf.hex()
+
+
 def test_bfdr_threshold_hand_value():
     """Inverting the BFDR at c^2 = 3.841459 recovers that threshold."""
     alpha = bfdr_of_threshold(_model(), 3.841459)

@@ -7,10 +7,12 @@ is not installed into the running interpreter.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import sysconfig
@@ -478,6 +480,14 @@ def test_unwritable_out_is_exit_one(capsys):
     assert "error:" in err
 
 
+def test_a_directory_as_out_is_exit_one(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    target.mkdir()
+    code, _, err = run_cli(capsys, *SIMULATE_ARGS, "--out", str(target))
+    assert code == 1
+    assert "error:" in err
+
+
 def test_threshold_where_the_bfdr_is_steep(capsys):
     """A point where a 1e-13-wide bracket alone missed the level by more than
     1e-11, so both solvers used to exit 1."""
@@ -675,3 +685,112 @@ def test_bounds_admit_the_documented_runs():
     """The README's runs and the exact-mode default grid fit the bounds."""
     assert cli.MAX_M >= max(DEFAULT_MC_GRID) and cli.MAX_REPS >= 2000
     assert cli.MAX_GRID_POINTS >= max(len(DEFAULT_EXACT_GRID), len(DEFAULT_MC_GRID))
+
+
+# -----------------------------------------------------------------------
+# output bytes and files
+
+# sha256 of the CSV each invocation writes, recorded before the outputs were
+# overwritten in place and the replicate statistics reduced in one pass, under
+# numpy 2.4.6 and scipy 1.17.1 (a Generator stream is promised only within a
+# numpy version).  A change that alters no number must keep every one.
+GOLDEN_CSVS = [
+    pytest.param(
+        ["simulate", "--preset", "bh_fixed_alpha", "--m", "1e5", "--reps", "200", "--seed", "7"],
+        "bccb85a3bae0e761158e44a53fd056a510bd8449982fb8a70ac653a7c34c3804",
+        id="bh_fixed_alpha",
+    ),
+    pytest.param(
+        ["simulate", "--preset", "bh_fixed_alpha", "--m", "1e5", "--alpha", "0.97",
+         "--reps", "200", "--seed", "7"],
+        "63fcb26024011db581380e6e34d5f898f38bbbfd331ef7944df9e7e4b2590e45",
+        id="bh_fixed_alpha_at_0.97",
+    ),
+    pytest.param(
+        ["simulate", "--p", "0.02", "--u", "25", "--m", "1e5", "--rule", "fixed", "--c-sq", "9",
+         "--reps", "500", "--seed", "3"],
+        "ba39b3dbb33e369af17be4f200e03e7b293e7e725ffe402ca226e639140f34e6",
+        id="fixed",
+    ),
+    pytest.param(
+        ["simulate", "--p", "0.02", "--u", "25", "--m", "1e5", "--rule", "universal",
+         "--reps", "500", "--seed", "3"],
+        "7f9e3f98611addf245678ddfb22237cfad7bf606fd5c7fd7d5ea6373d3b827dd",
+        id="universal",
+    ),
+    pytest.param(
+        ["simulate", "--p", "0.3", "--u", "0.001", "--m", "1e5", "--rule", "bh", "--alpha", "0.97",
+         "--reps", "200", "--seed", "5"],
+        "d67d55d81dec9be2da7768477297fad637519bdf35bde5ae7d7ce71b6f864364",
+        id="bh_dense",
+    ),
+    pytest.param(
+        ["convergence", "--preset", "lemma_universal", "--mode", "exact"],
+        "a4aa2bd04b1d7919e0eabd9108aaacf2367745698e0f2413711b2ba3351d6a84",
+        id="lemma_universal_exact",
+    ),
+    pytest.param(
+        ["convergence", "--preset", "bfdr_fixed_alpha", "--grid", "1e3,1e6,1e9,1e12"],
+        "1ca1d0ba4e434d2c7808e15f8e0478871136137cd1651fe6aa2245ca3dce067d",
+        id="bfdr_fixed_alpha_grid",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_CSVS)
+def test_csv_bytes_match_the_recorded_digests(tmp_path, capsys, argv, digest):
+    out_path = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0, err
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE_ARGS,
+    ["risk", "--p", "0.1", "--u", "3", "--m", "100", "--c-sq", "4"],
+])
+def test_rewriting_a_longer_output_leaves_no_stale_tail(tmp_path, capsys, monkeypatch, argv):
+    """The CSV and the sidecar written over longer old files equal the bytes
+    of a fresh write.  The --out path is relative, so the sidecars, which
+    echo it, are comparable."""
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    (old / "out.csv").write_text("x" * 100_000)
+    (old / "out.json").write_text("{" * 100_000)
+    for where in (fresh, old):
+        monkeypatch.chdir(where)
+        code, _, err = run_cli(capsys, *argv, "--out", "out.csv")
+        assert code == 0, err
+    for name in ("out.csv", "out.json"):
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_a_symlinked_out_writes_through_to_its_target(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("an,older,and,longer,table\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    ref = tmp_path / "ref.csv"
+    for path in (ref, link):
+        code, _, err = run_cli(capsys, *SIMULATE_ARGS, "--out", str(path))
+        assert code == 0, err
+    assert link.is_symlink()
+    assert target.read_bytes() == ref.read_bytes()
+
+
+def test_writing_to_the_null_device_does_not_cut_it():
+    """/dev/null is no regular file: truncating it would raise."""
+    cli._write_text(Path(os.devnull), "stat,mean\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_a_new_output_gets_the_mode_write_text_gives(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        cli._write_text(tmp_path / "new.csv", "a\n")
+        (tmp_path / "ref.csv").write_text("a\n")
+    finally:
+        os.umask(saved)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "ref.csv").stat().st_mode) == 0o666 & ~umask

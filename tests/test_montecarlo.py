@@ -59,6 +59,31 @@ def test_mc_estimate_from_samples():
     assert est.reps == 4
 
 
+@pytest.mark.parametrize("reps", [2, 3, 9, 129, 4097, 100_001])
+def test_one_pass_report_matches_per_row_estimates_bit_for_bit(reps):
+    """_report reduces the whole replicate table along its rows; every
+    estimate must carry the bits McEstimate.from_samples gives its row."""
+    rng = np.random.default_rng(reps)
+    table = np.array([
+        (rng.random(reps) < 0.3).astype(float),  # 0/1, as fwer
+        np.ones(reps),  # a constant row has standard error 0
+        rng.poisson(15.7, reps).astype(float),  # counts, as ev
+        rng.integers(0, 10**6, reps).astype(float),
+        rng.standard_cauchy(reps),  # heavy tails
+        rng.pareto(1.1, reps) * 1e3,
+    ])
+    assert table.flags.c_contiguous
+    for rows in (table, table[:5]):
+        report = montecarlo._report(rows)
+        names = montecarlo._STATS[: len(rows)]
+        for name, row in zip(names, rows):
+            got, want = getattr(report, name), McEstimate.from_samples(row)
+            assert (got.mean.hex(), got.std_error.hex(), got.reps) == (
+                want.mean.hex(), want.std_error.hex(), want.reps
+            ), name
+    assert report.threshold_gap is None
+
+
 def test_mc_estimate_validation():
     with pytest.raises(ParameterError):
         McEstimate.from_samples(np.array([1.0]))
@@ -566,6 +591,24 @@ def test_gap_study_shares_the_step_up_replicates():
     study = threshold_gap_study(setting, 0.1, 40, seed=7, epsilon=0.25)
     report = mc_run(setting, BhRule(alpha=0.1), 40, seed=7)
     assert study.gap == report.threshold_gap
+
+
+@pytest.mark.parametrize(
+    "p, u, alpha, reps, seed, gap",
+    [
+        (0.01, 2.0 * math.log(1e5), 0.1, 300, 11,
+         (0.012633889805786041, 0.0005715141209302107, 0.2, 0.010924872652535944)),
+        (0.3, 1e-3, 0.97, 40, 2,
+         (11.139655181982008, 0.1156084810850272, 1.0, 11.307895251263208)),
+    ],
+)
+def test_gap_study_keeps_its_recorded_bits(p, u, alpha, reps, seed, gap):
+    """Values recorded before the replicates went into one table: the
+    mean, standard error, share above 0.02 and median of the gap."""
+    study = threshold_gap_study(_setting(p=p, u=u, m=100_000), alpha, reps, seed=seed, epsilon=0.02)
+    got = (study.gap.mean, study.gap.std_error, study.exceed_frac, study.median_gap)
+    assert [value.hex() for value in got] == [value.hex() for value in gap]
+    assert study.gap.reps == reps
 
 
 def test_gap_study_concentrates_with_m():

@@ -96,7 +96,8 @@ def test_Phi_inv_rejects_endpoints():
 
 def test_Phi_inv_of_a_float_matches_the_array_path_bit_for_bit():
     """A Python float takes a scalar path; it must give the array path's
-    bits, on both sides of 1/2 and at the ends of (0, 1)."""
+    bits, on both sides of 1/2 and at the ends of (0, 1), for a mixed array
+    and for arrays that lie wholly on one side (each its own branch)."""
     rng = np.random.default_rng(17)
     q = np.concatenate(
         [
@@ -110,6 +111,11 @@ def test_Phi_inv_of_a_float_matches_the_array_path_bit_for_bit():
     scalar = [Phi_inv(float(v)) for v in q]
     assert all(type(x) is float for x in scalar)
     np.testing.assert_array_equal(np.array(scalar).view(np.int64), Phi_inv(q).view(np.int64))
+    below = q <= 0.5
+    for side in (below, ~below):
+        np.testing.assert_array_equal(
+            np.array(scalar)[side].view(np.int64), Phi_inv(q[side]).view(np.int64)
+        )
     upper = np.array([Phi_inv_upper(float(v)) for v in q[:2000]])
     np.testing.assert_array_equal(upper.view(np.int64), Phi_inv_upper(q[:2000]).view(np.int64))
 
