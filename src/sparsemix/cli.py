@@ -9,7 +9,12 @@ version); a sampled run also records the version of its replicate draw
 diffed directly.  An existing output file is overwritten in place and cut
 to the new length, never truncated first: on ext4 (auto_da_alloc) closing
 a file that was truncated from non-empty starts write-back, which costs
-more than the rest of a short simulate call.  Nothing is fsynced.
+more than the rest of a short simulate call.  The price is paid on a crash:
+nothing is fsynced, and without that forced write-back an overwritten
+output (CSV or sidecar) may afterwards hold the old bytes cut to the new
+length, or a mix of the old and the new run, and the sidecar may describe
+another run than the CSV.  A write that fails (disk full, I/O error) cuts
+the file to nothing.
 Identical invocations produce byte-identical CSV regardless of worker
 count — parallelism never touches streams or reduction order.
 
@@ -70,9 +75,8 @@ __all__ = ["main", "build_parser", "ConfigError"]
 # more than its first tail: up to about 18 bytes per test at a level near
 # 1.  A run keeps six floats per replicate in one table, so at the bounds a
 # run needs up to 1.8 GB per worker for its draws and 48 MB for its
-# statistics, and as much again while their standard deviations are taken.
-# Exact-mode grid points need no sampling, so
-# only the grid length bounds them.
+# statistics.  Exact-mode grid points need no sampling, so only the grid
+# length bounds them.
 MAX_M = 10**8
 MAX_REPS = 10**6
 MAX_GRID_POINTS = 1000
@@ -121,12 +125,23 @@ def _csv_text(columns, rows) -> str:
 def _write_text(path: Path, text: str) -> None:
     """Path.write_text without O_TRUNC: write over the old bytes, then cut a
     regular file to the new length (a device such as /dev/null cannot be
-    cut)."""
+    cut).  If the write fails, a regular file is cut to nothing, so old
+    bytes never follow new ones."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w") as file:
-        file.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            file.truncate()
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            # Closing the wrapper flushes it; it is closed even if that fails.
+            with open(fd, "w", closefd=False) as file:
+                file.write(text)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
 
 
 def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:

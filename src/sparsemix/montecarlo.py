@@ -108,6 +108,10 @@ STREAM = 3
 _STEP_COST = 128
 
 
+# Values per np.std call in McEstimate.from_rows (512 kB of temporary).
+_STD_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
@@ -122,14 +126,23 @@ class McEstimate:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McEstimate":
-        n = samples.size
+        return cls.from_rows(np.reshape(samples, (1, -1)))[0]
+
+    @classmethod
+    def from_rows(cls, table: np.ndarray) -> list["McEstimate"]:
+        """One estimate per row of a 2-D table, with the bits its row would
+        get alone.  The means take one pass along the rows; the standard
+        deviations take blocks of rows, whose temporary copy holds at most
+        _STD_BLOCK values or one row."""
+        n = table.shape[1]
         if n < 2:
             raise ParameterError("need at least 2 samples for a standard error")
-        return cls(
-            mean=float(np.mean(samples)),
-            std_error=float(np.std(samples, ddof=1) / math.sqrt(n)),
-            reps=n,
-        )
+        step = max(1, _STD_BLOCK // n)
+        stds = [s for i in range(0, len(table), step) for s in np.std(table[i : i + step], axis=1, ddof=1)]
+        return [
+            cls(mean=float(mean), std_error=float(std / math.sqrt(n)), reps=n)
+            for mean, std in zip(np.mean(table, axis=1), stds)
+        ]
 
 
 @dataclass(frozen=True)
@@ -349,15 +362,7 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
 
 
 def _report(table: np.ndarray) -> McReport:
-    """McEstimate.from_samples of every row, from one mean and one standard
-    deviation along the rows: the same reductions, so the same bits."""
-    reps = table.shape[1]
-    means = np.mean(table, axis=1)
-    errors = np.std(table, axis=1, ddof=1) / math.sqrt(reps)
-    return McReport(**{
-        name: McEstimate(mean=float(mean), std_error=float(error), reps=reps)
-        for name, mean, error in zip(_STATS, means, errors)
-    })
+    return McReport(**dict(zip(_STATS, McEstimate.from_rows(table))))
 
 
 def mc_run(setting: TestingSetting, rule: Rule, reps, seed, workers: int | None = None) -> McReport:
@@ -397,7 +402,7 @@ def threshold_gap_study(
     if not (epsilon > 0.0) or math.isnan(epsilon):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
     rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
-    gaps = _replicates(setting, rule, reps, seed, workers)[_STATS.index("threshold_gap")]
+    gaps = _replicates(setting, rule, reps, seed, workers)[-1]
     return GapStudy(
         gap=McEstimate.from_samples(gaps),
         exceed_frac=float(np.mean(gaps > epsilon)),

@@ -81,21 +81,12 @@ def Phi_inv(q):
         raise ParameterError("q must lie strictly inside (0, 1)")
     x = special.ndtri(arr)
     dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-    def below():
-        return 0.5 * special.erfc(-x / _SQRT2) - arr
-
-    def above():
-        return (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2)
-
-    # Only the side the inputs lie on is evaluated when they all lie on one.
     lower = arr <= 0.5
-    if lower.all():
-        resid = below()
-    elif not lower.any():
-        resid = above()
-    else:
-        resid = np.where(lower, below(), above())
+    resid = np.where(
+        lower,
+        0.5 * special.erfc(-x / _SQRT2) - arr,
+        (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2),
+    )
     # resid = Phi(x) - q on both branches; skip the step where the density
     # has underflowed (ndtri is already exact to working precision there).
     step = np.where(dens > 1e-300, resid / np.where(dens > 0.0, dens, 1.0), 0.0)

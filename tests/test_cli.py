@@ -7,6 +7,7 @@ is not installed into the running interpreter.
 """
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -777,6 +778,36 @@ def test_a_symlinked_out_writes_through_to_its_target(tmp_path, capsys):
         assert code == 0, err
     assert link.is_symlink()
     assert target.read_bytes() == ref.read_bytes()
+
+
+_FAILING_WRITE = """\
+import resource, signal, sys
+from pathlib import Path
+from sparsemix import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+try:
+    cli._write_text(Path(sys.argv[1]), "n" * 10_000)
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_failed_write_leaves_no_old_tail_behind_new_bytes(tmp_path):
+    """A write cut short (here by a file-size limit in a child process, so
+    the first 4096 new bytes land and the rest fails with EFBIG) cuts the
+    old, longer file to nothing instead of leaving new bytes before old."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"o" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_WRITE, str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(errno.EFBIG)
+    assert path.read_bytes() == b""
 
 
 def test_writing_to_the_null_device_does_not_cut_it():

@@ -59,10 +59,11 @@ def test_mc_estimate_from_samples():
     assert est.reps == 4
 
 
-@pytest.mark.parametrize("reps", [2, 3, 9, 129, 4097, 100_001])
+@pytest.mark.parametrize("reps", [2, 3, 9, 129, 4097, 30_001, 100_001])
 def test_one_pass_report_matches_per_row_estimates_bit_for_bit(reps):
     """_report reduces the whole replicate table along its rows; every
-    estimate must carry the bits McEstimate.from_samples gives its row."""
+    estimate must carry the bits of the mean and standard error of its row
+    taken alone, and from_samples of the row must agree."""
     rng = np.random.default_rng(reps)
     table = np.array([
         (rng.random(reps) < 0.3).astype(float),  # 0/1, as fwer
@@ -77,10 +78,13 @@ def test_one_pass_report_matches_per_row_estimates_bit_for_bit(reps):
         report = montecarlo._report(rows)
         names = montecarlo._STATS[: len(rows)]
         for name, row in zip(names, rows):
-            got, want = getattr(report, name), McEstimate.from_samples(row)
-            assert (got.mean.hex(), got.std_error.hex(), got.reps) == (
-                want.mean.hex(), want.std_error.hex(), want.reps
-            ), name
+            want = (
+                float(np.mean(row)).hex(),
+                float(np.std(row, ddof=1) / math.sqrt(reps)).hex(),
+                reps,
+            )
+            for got in (getattr(report, name), McEstimate.from_samples(row)):
+                assert (got.mean.hex(), got.std_error.hex(), got.reps) == want, name
     assert report.threshold_gap is None
 
 

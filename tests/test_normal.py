@@ -97,7 +97,7 @@ def test_Phi_inv_rejects_endpoints():
 def test_Phi_inv_of_a_float_matches_the_array_path_bit_for_bit():
     """A Python float takes a scalar path; it must give the array path's
     bits, on both sides of 1/2 and at the ends of (0, 1), for a mixed array
-    and for arrays that lie wholly on one side (each its own branch)."""
+    and for arrays that lie wholly on one side of 1/2."""
     rng = np.random.default_rng(17)
     q = np.concatenate(
         [
