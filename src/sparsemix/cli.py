@@ -18,14 +18,18 @@ the file to nothing.
 Identical invocations produce byte-identical CSV regardless of worker
 count — parallelism never touches streams or reduction order.
 
-Exit codes: 0 success; 1 domain errors (module messages surfaced verbatim)
-and unwritable outputs; 2 flag or config-schema errors (with field path),
-including requests beyond MAX_M tests sampled, MAX_REPS replicates or
-MAX_GRID_POINTS convergence grid points, which are refused before anything
-is allocated.
+Exit codes: 0 success; 1 domain errors such as a value out of its range
+(module messages surfaced verbatim) and unwritable outputs; 2 flag or
+config-schema errors, each naming its field path: a field that is unknown,
+missing, of the wrong type or without effect (overrides without a preset;
+a setting, setting flag or regime beside one), a negative seed, and
+requests beyond MAX_M tests sampled, MAX_REPS replicates or MAX_GRID_POINTS
+convergence grid points, which are refused before anything is allocated.
 
 Config files are single JSON documents mirroring the flags; flags override
-config fields.  See the README for the schema and the documented CSV
+config fields.  A setting, rule, sparsity or delta family and a preset's
+overrides are each read by errors.call_with_fields as the parameters of
+what they build.  See the README for the schema and the documented CSV
 column orders.
 """
 
@@ -46,14 +50,13 @@ import scipy
 
 from . import __version__
 from .bfdr import BfdrLevel, bfdr_threshold, gw_threshold
-from .errors import ParameterError
+from .errors import (ConfigError, ParameterError, _field, _parameters, _reject_unknown,
+                     call_by_tag, call_with_fields)
 from .experiments import (
+    _DELTA_RULES,
+    _SPARSITIES,
     CONVERGENCE_COLUMNS,
-    ConstantDelta,
-    DecayingDelta,
-    ExtremeSparsity,
     McOptions,
-    PowerSparsity,
     PRESET_NAMES,
     Regime,
     point_setting,
@@ -81,17 +84,8 @@ MAX_M = 10**8
 MAX_REPS = 10**6
 MAX_GRID_POINTS = 1000
 
-_RULE_KINDS = tuple(_BY_KIND)
 _SIMULATE_COLUMNS = ("stat", "mean", "std_error", "reps")
 _RISK_COLUMNS = ("m", "p", "u", "delta0", "deltaA", "c_sq", "r1", "r2", "total")
-
-
-class ConfigError(Exception):
-    """Config-schema violation; message carries the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 # ---------------------------------------------------------------------------
@@ -180,37 +174,11 @@ def _load_config(path: str) -> dict:
         raise ConfigError("<config>", f"cannot read {path!r}: {exc}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond int's digit limit
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
     return data
-
-
-def _reject_unknown(cfg: dict, allowed, prefix: str = "") -> None:
-    extra = sorted(set(cfg) - set(allowed))
-    if extra:
-        raise ConfigError(f"{prefix}{extra[0]}", "unknown field")
-
-
-# What a field of each type must be (bool is never a number), and its name.
-_FIELD_TYPES = {
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    str: (str, "a string"),
-    dict: (dict, "an object"),
-}
-
-
-def _field(cfg: dict, key: str, kind: type, prefix: str = "", default=None):
-    """cfg[key] checked to be of the given kind; absent or null gives default."""
-    accepted, noun = _FIELD_TYPES[kind]
-    value = cfg.get(key, None)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{prefix}{key}", f"must be {noun}")
-    return kind(value)
 
 
 def _at_most(path: str, value, bound: int, noun: str) -> None:
@@ -224,9 +192,6 @@ def _flag_or_field(args, cfg: dict, key: str, kind: type, default=None):
     return value if value is not None else _field(cfg, key, kind, default=default)
 
 
-_SETTING_KEYS = ("p", "u", "tau_sq", "sigma_sq", "delta", "delta0", "deltaA", "m")
-
-
 def _overlay_flags(cfg: dict, args, keys) -> dict:
     merged = dict(cfg)
     for key in keys:
@@ -236,36 +201,27 @@ def _overlay_flags(cfg: dict, args, keys) -> dict:
     return merged
 
 
-def _build_setting(src: dict, prefix: str = "setting.") -> TestingSetting:
-    _reject_unknown(src, _SETTING_KEYS, prefix)
-    p = _field(src, "p", float, prefix)
-    if p is None:
-        raise ConfigError(prefix + "p", "required")
-    sigma_sq = _field(src, "sigma_sq", float, prefix, default=1.0)
-    tau_sq = _field(src, "tau_sq", float, prefix)
-    u = _field(src, "u", float, prefix)
+def _setting(p, u=None, tau_sq=None, sigma_sq=1.0, delta=None, delta0=None, deltaA=None, m=1.0):
+    """The setting a "setting" object or the setting flags describe."""
     if tau_sq is None:
         if u is None:
-            raise ConfigError(prefix + "u", "required (or tau_sq)")
+            raise ConfigError("setting.u", "required (or tau_sq)")
         tau_sq = u * sigma_sq
     elif u is not None:
-        raise ConfigError(prefix + "u", "give either u or tau_sq, not both")
-    delta = _field(src, "delta", float, prefix)
-    delta0 = _field(src, "delta0", float, prefix)
-    delta_a = _field(src, "deltaA", float, prefix)
-    if delta is not None and (delta0 is not None or delta_a is not None):
-        raise ConfigError(prefix + "delta", "give either delta or delta0/deltaA, not both")
-    if delta is None:
-        delta0 = 1.0 if delta0 is None else delta0
-        delta_a = 1.0 if delta_a is None else delta_a
-    else:
-        delta0, delta_a = delta, 1.0
-    m = _field(src, "m", float, prefix, default=1.0)
+        raise ConfigError("setting.u", "give either u or tau_sq, not both")
+    if delta is not None:
+        if delta0 is not None or deltaA is not None:
+            raise ConfigError("setting.delta", "give either delta or delta0/deltaA, not both")
+        delta0, deltaA = delta, 1.0
     return TestingSetting(
         model=MixtureModel(p=p, sigma_sq=sigma_sq, tau_sq=tau_sq),
-        losses=Losses(delta0=delta0, deltaA=delta_a),
+        losses=Losses(delta0=1.0 if delta0 is None else delta0,
+                      deltaA=1.0 if deltaA is None else deltaA),
         m=m,
     )
+
+
+_SETTING_KEYS = _parameters(_setting)[0]
 
 
 def _setting_echo(setting: TestingSetting) -> dict:
@@ -282,22 +238,19 @@ def _setting_echo(setting: TestingSetting) -> dict:
 _RULE_FLAG_KEYS = ("alpha", "c_sq", "d", "n")
 
 
-def _build_rule(src: dict, args, base=None, prefix: str = "rule."):
-    """Rule from a config object and/or flags; flags override fields.
+def _build_rule(cfg: dict, args, base=None):
+    """The config's rule object under the rule flags; flags override fields.
 
     With no kind from either, the config's fields and then the flags go on
-    top of base (a preset's rule); without a base there is no rule and the
-    result is None.
+    top of base (a preset's rule), which a run without a preset lacks.
     """
-    merged = dict(src)
+    merged = _field(cfg, "rule", dict, default={})
     if args.rule is not None:
         merged["kind"] = args.rule
     if "kind" not in merged:
         if base is None:
-            return None
+            raise ConfigError("rule.kind", "required without a preset")
         merged = {**rule_to_config(base), **merged}
-    if not isinstance(merged.get("kind"), str):
-        raise ConfigError(prefix + "kind", "must be a string")
     return rule_from_config(_overlay_flags(merged, args, _RULE_FLAG_KEYS))
 
 
@@ -319,36 +272,12 @@ def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
     beta = _field(src, "beta", float, prefix)
     if beta is None:
         raise ConfigError(prefix + "beta", "required")
-    sp = _field(src, "sparsity", dict, prefix, default={})
-    family = _field(sp, "family", str, prefix + "sparsity.")
-    if family == "power":
-        _reject_unknown(sp, ("family", "kappa", "a"), prefix + "sparsity.")
-        kappa = _field(sp, "kappa", float, prefix + "sparsity.")
-        if kappa is None:
-            raise ConfigError(prefix + "sparsity.kappa", "required")
-        sparsity = PowerSparsity(kappa=kappa, a=_field(sp, "a", float, prefix + "sparsity.", 1.0))
-    elif family == "extreme":
-        _reject_unknown(sp, ("family", "s", "log_exponent"), prefix + "sparsity.")
-        sparsity = ExtremeSparsity(
-            s=_field(sp, "s", float, prefix + "sparsity.", 1.0),
-            log_exponent=_field(sp, "log_exponent", float, prefix + "sparsity.", 0.0),
-        )
-    else:
-        raise ConfigError(prefix + "sparsity.family", "must be 'power' or 'extreme'")
-    dl = _field(src, "delta", dict, prefix, default={})
-    dfamily = _field(dl, "family", str, prefix + "delta.", "constant")
-    if dfamily == "constant":
-        _reject_unknown(dl, ("family", "value"), prefix + "delta.")
-        delta_rule = ConstantDelta(value=_field(dl, "value", float, prefix + "delta.", 1.0))
-    elif dfamily == "decaying":
-        _reject_unknown(dl, ("family", "g"), prefix + "delta.")
-        delta_rule = DecayingDelta(g=_field(dl, "g", float, prefix + "delta.", 1.0))
-    else:
-        raise ConfigError(prefix + "delta.family", "must be 'constant' or 'decaying'")
+    sparsity = _field(src, "sparsity", dict, prefix, default={})
+    delta = _field(src, "delta", dict, prefix, default={})
     return regime_verge(
         beta,
-        sparsity,
-        delta_rule,
+        call_by_tag(_SPARSITIES, sparsity, "family", prefix + "sparsity."),
+        call_by_tag(_DELTA_RULES, delta, "family", prefix + "delta.", "constant"),
         alpha_rule=_field(src, "alpha", float, prefix),
         n_rule=_field(src, "n", float, prefix),
         t_grid=_grid_field(src, prefix),
@@ -362,12 +291,14 @@ def _preset_and_rule(cfg: dict, args, echo: dict):
     name = _flag_or_field(args, cfg, "preset", str)
     overrides = _field(cfg, "overrides", dict, default={})
     if name is None:
+        if cfg.get("overrides") is not None:  # refused, not ignored
+            raise ConfigError("overrides", "used only with a preset")
         return None, None
     regime, rule = preset(name, **overrides)
     echo["preset"] = name
     if overrides:
         echo["overrides"] = overrides
-    return regime, _build_rule(_field(cfg, "rule", dict, default={}), args, base=rule)
+    return regime, _build_rule(cfg, args, base=rule)
 
 
 def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOptions, str | None]:
@@ -375,6 +306,8 @@ def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOpti
     reps = _flag_or_field(args, cfg, "reps", int, default=default_reps)
     _at_most("reps", reps, MAX_REPS, "replicates")
     seed = _flag_or_field(args, cfg, "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {seed}")
     workers = _flag_or_field(args, cfg, "workers", int)
     out = _flag_or_field(args, cfg, "out", str)
     echo.update(reps=reps, seed=seed)
@@ -404,7 +337,7 @@ def cmd_threshold(args) -> int:
     print(" ".join(echo) if echo else "(defaults)")
     # Only the mixture-based rules need a setting; the others need only m.
     if {"oracle", "bfdr", "gw"}.intersection(selected):
-        setting = _build_setting(_overlay_flags({}, args, _SETTING_KEYS))
+        setting = call_with_fields(_setting, _overlay_flags({}, args, _SETTING_KEYS), "setting.")
     m = 1.0 if args.m is None else args.m
     d = 0.0 if args.d is None else args.d
 
@@ -439,7 +372,7 @@ def cmd_risk(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _reject_unknown(cfg, ("setting", "c_sq", "out"))
     setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
-    setting = _build_setting(setting_cfg)
+    setting = call_with_fields(_setting, setting_cfg, "setting.")
     c_sq_value = _flag_or_field(args, cfg, "c_sq", float)
     if c_sq_value is None:
         c_sq = oracle_threshold_sq_raw(setting.model, setting.losses)
@@ -476,6 +409,11 @@ def cmd_simulate(args) -> int:
     if regime is not None:
         if m is None:
             raise ConfigError("m", "required with a preset")
+        if cfg.get("setting") is not None:
+            raise ConfigError("setting", "not used with a preset")
+        for key in _SETTING_KEYS:
+            if key != "m" and getattr(args, key) is not None:
+                raise ConfigError("setting." + key, "not used with a preset")
         point = regime.generator(m)
         setting = point_setting(point)
         rule = fill_rule(rule, alpha=point.alpha, n=point.n)
@@ -483,10 +421,8 @@ def cmd_simulate(args) -> int:
         setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
         if m is not None:
             setting_cfg["m"] = m
-        setting = _build_setting(setting_cfg)
-        rule = _build_rule(_field(cfg, "rule", dict, default={}), args)
-        if rule is None:
-            raise ConfigError("rule.kind", "required without a preset")
+        setting = call_with_fields(_setting, setting_cfg, "setting.")
+        rule = _build_rule(cfg, args)
     _at_most("m", setting.m, MAX_M, "tests")
     mc, out = _run_options(cfg, args, 1000, echo)
     echo.update(setting=_setting_echo(setting), rule=rule_to_config(rule))
@@ -510,10 +446,10 @@ def cmd_convergence(args) -> int:
         if "regime" not in cfg:
             raise ConfigError("preset", "required (or a 'regime' object in the config)")
         regime = _build_regime_from_config(_field(cfg, "regime", dict, default={}))
-        rule = _build_rule(_field(cfg, "rule", dict, default={}), args)
-        if rule is None:
-            raise ConfigError("rule.kind", "required with a config regime")
+        rule = _build_rule(cfg, args)
         echo["regime"] = cfg["regime"]
+    elif cfg.get("regime") is not None:
+        raise ConfigError("regime", "not used with a preset")
     grid = args.grid if args.grid is not None else _grid_field(cfg)
     if grid is not None:
         regime = replace(regime, t_grid=tuple(float(g) for g in grid))
@@ -606,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
     _add_setting_flags(par)
     par.add_argument("--m", type=float, help="number of tests (integer)")
-    par.add_argument("--rule", choices=_RULE_KINDS, help="rule kind (when not using a preset)")
+    par.add_argument("--rule", choices=tuple(_BY_KIND), help="rule kind (when not using a preset)")
     par.add_argument("--alpha", type=float, help="level for level-based rules")
     par.add_argument("--c-sq", dest="c_sq", type=float, help="threshold for --rule fixed")
     par.add_argument("--d", type=float, help="offset for universal/replicate rules")
@@ -618,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     par = sub.add_parser("convergence", help="risk-ratio table along a regime")
     par.add_argument("--preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
-    par.add_argument("--rule", choices=_RULE_KINDS, help="override the preset's rule")
+    par.add_argument("--rule", choices=tuple(_BY_KIND), help="override the preset's rule")
     par.add_argument("--alpha", type=float, help="level override for level-based rules")
     par.add_argument("--c-sq", dest="c_sq", type=float, help="threshold for --rule fixed")
     par.add_argument("--d", type=float, help="offset for universal/replicate rules")

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one config reader,
+which reads a config object as the parameters of the callable it builds."""
 
-__all__ = ["ParameterError", "LevelError"]
+import inspect
+from functools import cache
+
+__all__ = ["ParameterError", "LevelError", "ConfigError"]
 
 
 class ParameterError(ValueError):
@@ -17,3 +21,74 @@ class LevelError(ParameterError):
     def __init__(self, message: str, supremum: float | None = None):
         super().__init__(message)
         self.supremum = supremum
+
+
+class ConfigError(ParameterError):
+    """Config-schema violation; message carries the offending field path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+def _reject_unknown(cfg: dict, allowed, prefix: str = "") -> None:
+    extra = sorted(cfg.keys() - allowed)
+    if extra:
+        raise ConfigError(f"{prefix}{extra[0]}", "unknown field")
+
+
+# What a field of each type must be (bool is never a number), and its name.
+_FIELD_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+}
+
+
+def _field(cfg: dict, key: str, kind: type, prefix: str = "", default=None):
+    """cfg[key] checked to be of the given kind; absent or null gives default."""
+    accepted, noun = _FIELD_TYPES[kind]
+    value = cfg.get(key, None)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{prefix}{key}", f"must be {noun}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{prefix}{key}", f"must be {noun} within the float range") from None
+
+
+@cache  # inspect.signature costs tens of microseconds a call
+def _parameters(fn) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of fn's parameters, and of those without a default."""
+    params = inspect.signature(fn).parameters.values()
+    return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+
+
+def call_with_fields(fn, obj: dict, prefix: str = ""):
+    """fn(**obj), obj read as fn's keyword parameters, each a number.
+
+    An unknown, missing required or non-number (bool included) field raises
+    ConfigError naming prefix + field; a null field counts as absent.
+    """
+    names, required = _parameters(fn)
+    _reject_unknown(obj, names, prefix)
+    kwargs = {}
+    for name in obj:
+        value = _field(obj, name, float, prefix)
+        if value is not None:
+            kwargs[name] = value
+    for name in required:
+        if name not in kwargs:
+            raise ConfigError(prefix + name, "required")
+    return fn(**kwargs)
+
+
+def call_by_tag(table: dict, obj: dict, tag: str, prefix: str = "", default=None):
+    """call_with_fields on table[obj[tag]] with the other fields of obj."""
+    name = _field(obj, tag, str, prefix, default)
+    if name not in table:
+        raise ConfigError(prefix + tag, f"must be one of {', '.join(map(repr, table))}")
+    return call_with_fields(table[name], {k: v for k, v in obj.items() if k != tag}, prefix)

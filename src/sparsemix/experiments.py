@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bfdr import BfdrLevel, bfdr_optimality_diagnostics
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError, call_with_fields
 from .model import (
     AsymptoticConstants,
     DerivedParams,
@@ -147,8 +147,9 @@ class DecayingDelta:
         return math.log(m) ** -self.g
 
 
-_SPARSITIES = (PowerSparsity, ExtremeSparsity)
-_DELTA_RULES = (ConstantDelta, DecayingDelta)
+# The families, by the name a config object gives them.
+_SPARSITIES = {"power": PowerSparsity, "extreme": ExtremeSparsity}
+_DELTA_RULES = {"constant": ConstantDelta, "decaying": DecayingDelta}
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,12 @@ def regime_verge(
     """
     if not (np.isfinite(beta) and beta > 0.0):
         raise ParameterError("beta must be a finite positive real")
-    if not isinstance(sparsity, _SPARSITIES):
+    if not isinstance(sparsity, tuple(_SPARSITIES.values())):
         raise ParameterError(
             "sparsity must be PowerSparsity or ExtremeSparsity, "
             f"got {type(sparsity).__name__}"
         )
-    if not isinstance(delta_rule, _DELTA_RULES):
+    if not isinstance(delta_rule, tuple(_DELTA_RULES.values())):
         raise ParameterError(
             "delta_rule must be ConstantDelta or DecayingDelta, "
             f"got {type(delta_rule).__name__}"
@@ -396,14 +397,12 @@ PRESET_NAMES: tuple[str, ...] = tuple(sorted(_PRESETS))
 
 
 def preset(name: str, **overrides) -> tuple[Regime, Rule]:
-    """Named (regime, rule) pair; overrides tune the family parameters."""
+    """Named (regime, rule) pair; overrides tune the family parameters.
+    An unknown name or a bad override raises ConfigError."""
     factory = _PRESETS.get(name)
     if factory is None:
-        raise ParameterError(f"unknown preset {name!r}; expected one of {list(PRESET_NAMES)}")
-    try:
-        return factory(**overrides)
-    except TypeError as exc:
-        raise ParameterError(f"bad overrides for preset {name!r}: {exc}") from None
+        raise ConfigError("preset", f"unknown preset {name!r}; expected one of {list(PRESET_NAMES)}")
+    return call_with_fields(factory, overrides, "overrides.")
 
 
 # ---------------------------------------------------------------------------

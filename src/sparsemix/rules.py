@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bfdr import BfdrLevel, bfdr_threshold, gw_threshold
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError, call_by_tag
 from .model import TestingSetting, ThresholdSq, derive, oracle_threshold_sq
 from .procedures import (
     RejectionResult,
@@ -250,19 +250,8 @@ def rule_to_config(rule: Rule) -> dict:
 
 
 def rule_from_config(config: dict) -> Rule:
-    """Build a rule from {kind, **fields}; unknown kinds and fields rejected."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ParameterError("rule config must be an object with a 'kind' field")
-    kind = config["kind"]
-    cls = _BY_KIND.get(kind)
-    if cls is None:
-        raise ParameterError(f"unknown rule kind {kind!r}; expected one of {sorted(_BY_KIND)}")
-    params = {k: v for k, v in config.items() if k != "kind"}
-    allowed = set(cls.__dataclass_fields__)
-    extra = set(params) - allowed
-    if extra:
-        raise ParameterError(f"rule kind {kind!r} does not accept {sorted(extra)}")
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ParameterError(f"bad parameters for rule kind {kind!r}: {exc}") from None
+    """Build a rule from {kind, **fields}, every field a number; a bad kind
+    or field raises ConfigError, a value out of range ParameterError."""
+    if not isinstance(config, dict):
+        raise ConfigError("rule", "must be an object")
+    return call_by_tag(_BY_KIND, config, "kind", "rule.")

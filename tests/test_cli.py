@@ -6,6 +6,7 @@ installed `sparsemix` console script, which is skipped where the package
 is not installed into the running interpreter.
 """
 
+import contextlib
 import csv
 import errno
 import hashlib
@@ -22,6 +23,8 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsemix
 import sparsemix.cli as cli
@@ -42,6 +45,9 @@ from sparsemix import (
     threshold_sq,
 )
 from sparsemix.cli import main
+from sparsemix.errors import _parameters
+from sparsemix.experiments import _DELTA_RULES, _PRESETS, _SPARSITIES
+from sparsemix.rules import _BY_KIND
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +59,15 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def with_config(tmp_path, argv, config):
+    """argv reading config from a JSON file, or argv itself for no config."""
+    if config is None:
+        return list(argv)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return [*argv, "--config", str(path)]
 
 
 def grab(line_text, key):
@@ -472,6 +487,143 @@ def test_convergence_unknown_preset_rejected():
     assert exc.value.code == 2
 
 
+# -----------------------------------------------------------------------
+# config fields: one reader for rules, families, overrides and settings
+
+_SETTING = {"p": 0.1, "u": 3.0, "m": 1000}
+_REGIME = {"beta": 2.0, "sparsity": {"family": "power", "kappa": 0.5}, "grid": [1e3, 1e4]}
+_SIM_PRESET = ["simulate", "--preset", "bh_fixed_alpha", "--m", "1000", "--reps", "2"]
+
+
+def _sim(rule):
+    return ["simulate"], {"setting": _SETTING, "rule": rule, "reps": 2}
+
+
+def _regime(**families):
+    return ["convergence"], {"regime": {**_REGIME, **families}, "rule": {"kind": "oracle"}}
+
+
+@pytest.mark.parametrize("argv, config, path", [
+    pytest.param(*_sim({"kind": "universal", "d": "x"}), "rule.d", id="rule_string"),
+    pytest.param(*_sim({"kind": "fixed", "c_sq": "abc"}), "rule.c_sq", id="rule_c_sq_string"),
+    pytest.param(*_sim({"kind": "replicate", "n": "3"}), "rule.n", id="rule_numeric_string"),
+    pytest.param(*_sim({"kind": "universal", "d": True}), "rule.d", id="rule_bool"),
+    pytest.param(*_sim({"kind": "universal", "bogus": 1}), "rule.bogus", id="rule_unknown_field"),
+    pytest.param(*_sim({"kind": "fixed"}), "rule.c_sq", id="rule_missing_field"),
+    pytest.param(*_sim({"kind": "martingale"}), "rule.kind", id="rule_unknown_kind"),
+    pytest.param(*_sim({"kind": 3}), "rule.kind", id="rule_kind_number"),
+    pytest.param(["simulate", "--preset", "bh_fixed_alpha", "--d", "1"], {"m": 1000},
+                 "rule.d", id="rule_flag_the_kind_lacks"),
+    pytest.param(["simulate"], {"preset": "bh_fixed_alpha", "m": 1000, "overrides": {"alpha": "x"}},
+                 "overrides.alpha", id="override_string"),
+    pytest.param(["convergence"], {"preset": "lemma_universal", "overrides": {"s": True}},
+                 "overrides.s", id="override_bool"),
+    pytest.param(["convergence"], {"preset": "lemma_universal", "overrides": {"kappa": 0.5}},
+                 "overrides.kappa", id="override_unknown"),
+    pytest.param(["convergence"], {"preset": "lemma_universal", "overrides": {"beta": 10**400}},
+                 "overrides.beta", id="override_beyond_floats"),
+    pytest.param(["convergence"], {"preset": "no_such_preset"}, "preset", id="preset_unknown"),
+    pytest.param(*_regime(sparsity={"family": "power", "kappa": "x"}),
+                 "regime.sparsity.kappa", id="family_string"),
+    pytest.param(*_regime(sparsity={"family": "extreme", "kappa": 0.5}),
+                 "regime.sparsity.kappa", id="family_unknown_field"),
+    pytest.param(*_regime(sparsity={"family": "cubic"}), "regime.sparsity.family", id="family_unknown"),
+    pytest.param(*_regime(delta={"family": "decaying", "g": False}), "regime.delta.g", id="family_bool"),
+    pytest.param(["simulate"], {"setting": {**_SETTING, "p": "0.1"}, "rule": {"kind": "oracle"}},
+                 "setting.p", id="setting_string"),
+    pytest.param(["simulate"], {"setting": {**_SETTING, "d": 1}, "rule": {"kind": "oracle"}},
+                 "setting.d", id="setting_unknown"),
+    pytest.param(["simulate"], {"setting": _SETTING, "rule": {"kind": "oracle"}, "overrides": {"alpha": 0.2}},
+                 "overrides", id="overrides_without_preset"),
+    pytest.param(["convergence"], {"preset": "lemma_universal", "regime": _REGIME},
+                 "regime", id="regime_beside_preset"),
+    pytest.param([*_SIM_PRESET, "--p", "0.3"], None, "setting.p", id="setting_flag_beside_preset"),
+    pytest.param([*_SIM_PRESET, "--delta0", "2"], None, "setting.delta0", id="delta0_flag_beside_preset"),
+    pytest.param(["simulate"], {"preset": "bh_fixed_alpha", "m": 1000, "setting": _SETTING},
+                 "setting", id="setting_beside_preset"),
+    pytest.param([*_SIM_PRESET, "--seed", "-1"], None, "seed", id="simulate_negative_seed_flag"),
+    pytest.param(["simulate"], {"preset": "bh_fixed_alpha", "m": 1000, "reps": 2, "seed": -4},
+                 "seed", id="simulate_negative_seed_field"),
+    pytest.param(["convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3", "--reps", "2",
+                  "--seed", "-1"], None, "seed", id="convergence_mc_negative_seed_flag"),
+    pytest.param(["convergence"], {"preset": "lemma_universal", "mode": "mc", "grid": [1e3],
+                                   "reps": 2, "seed": -4}, "seed", id="convergence_mc_negative_seed_field"),
+])
+def test_malformed_config_is_exit_two_with_the_field_path(tmp_path, capsys, argv, config, path):
+    """Every unknown, missing, mistyped or ignored field, from a config file
+    or a flag, is a config error naming its path, and nothing is written."""
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *with_config(tmp_path, argv, config), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text", ['{"seed": 1', '{"seed": ' + "1" * 5000 + "}"])
+def test_unparsable_config_is_exit_two(tmp_path, capsys, text):
+    """Invalid JSON, and an integer literal longer than Python converts."""
+    (tmp_path / "cfg.json").write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "cfg.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: <config>: invalid JSON: ")
+
+
+def test_a_value_out_of_range_stays_a_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "bfdr_fixed_alpha", "overrides": {"alpha": 1.5}}))
+    code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+_RULE_VALUES = {"c_sq": 9.0, "n": 3.0, "alpha": 0.1}
+
+
+def _field_sites():
+    """(argv, config, path) for every rule, family, override and setting field."""
+
+    def names(fn):
+        return _parameters(fn)[0]
+
+    sites = [(*_sim({"kind": "universal"}), ("rule", "kind"))]
+    for kind, cls in _BY_KIND.items():
+        valid = {"kind": kind, **{k: v for k, v in _RULE_VALUES.items() if k in names(cls)}}
+        sites += [(*_sim(valid), ("rule", name)) for name in names(cls)]
+    sites += [(*_sim({"kind": "oracle"}), ("setting", name)) for name in cli._SETTING_KEYS]
+    for name, factory in _PRESETS.items():
+        base = {"preset": name, "reps": 2, "grid": [1e3], "overrides": {}}
+        sites += [(["convergence"], base, ("overrides", key)) for key in names(factory)]
+    for key, families in (("sparsity", _SPARSITIES), ("delta", _DELTA_RULES)):
+        for family, cls in families.items():
+            valid = {"family": family, "kappa": 0.5} if family == "power" else {"family": family}
+            argv, config = _regime(**{key: valid})
+            sites += [(argv, config, ("regime", key, name)) for name in ["family", *names(cls)]]
+    return sites
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(_field_sites()), value=_JSON_VALUES)
+def test_any_json_value_in_any_field_ends_in_an_exit_code(tmp_path_factory, site, value):
+    """Whatever JSON value a field holds, main returns 0, 1 or 2 and raises
+    nothing."""
+    argv, config, path = site
+    config = json.loads(json.dumps(config))
+    obj = config
+    for key in path[:-1]:
+        obj = obj.setdefault(key, {})
+    obj[path[-1]] = value
+    argv = with_config(tmp_path_factory.getbasetemp(), argv, config)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+
+
 def test_unwritable_out_is_exit_one(capsys):
     code, _, err = run_cli(
         capsys, "convergence", "--preset", "lemma_universal", "--grid", "1e2",
@@ -697,51 +849,72 @@ def test_bounds_admit_the_documented_runs():
 # numpy version).  A change that alters no number must keep every one.
 GOLDEN_CSVS = [
     pytest.param(
-        ["simulate", "--preset", "bh_fixed_alpha", "--m", "1e5", "--reps", "200", "--seed", "7"],
+        ["simulate", "--preset", "bh_fixed_alpha", "--m", "1e5", "--reps", "200", "--seed", "7"], None,
         "bccb85a3bae0e761158e44a53fd056a510bd8449982fb8a70ac653a7c34c3804",
         id="bh_fixed_alpha",
     ),
     pytest.param(
         ["simulate", "--preset", "bh_fixed_alpha", "--m", "1e5", "--alpha", "0.97",
-         "--reps", "200", "--seed", "7"],
+         "--reps", "200", "--seed", "7"], None,
         "63fcb26024011db581380e6e34d5f898f38bbbfd331ef7944df9e7e4b2590e45",
         id="bh_fixed_alpha_at_0.97",
     ),
     pytest.param(
         ["simulate", "--p", "0.02", "--u", "25", "--m", "1e5", "--rule", "fixed", "--c-sq", "9",
-         "--reps", "500", "--seed", "3"],
+         "--reps", "500", "--seed", "3"], None,
         "ba39b3dbb33e369af17be4f200e03e7b293e7e725ffe402ca226e639140f34e6",
         id="fixed",
     ),
     pytest.param(
         ["simulate", "--p", "0.02", "--u", "25", "--m", "1e5", "--rule", "universal",
-         "--reps", "500", "--seed", "3"],
+         "--reps", "500", "--seed", "3"], None,
         "7f9e3f98611addf245678ddfb22237cfad7bf606fd5c7fd7d5ea6373d3b827dd",
         id="universal",
     ),
     pytest.param(
         ["simulate", "--p", "0.3", "--u", "0.001", "--m", "1e5", "--rule", "bh", "--alpha", "0.97",
-         "--reps", "200", "--seed", "5"],
+         "--reps", "200", "--seed", "5"], None,
         "d67d55d81dec9be2da7768477297fad637519bdf35bde5ae7d7ce71b6f864364",
         id="bh_dense",
     ),
     pytest.param(
-        ["convergence", "--preset", "lemma_universal", "--mode", "exact"],
+        ["convergence", "--preset", "lemma_universal", "--mode", "exact"], None,
         "a4aa2bd04b1d7919e0eabd9108aaacf2367745698e0f2413711b2ba3351d6a84",
         id="lemma_universal_exact",
     ),
     pytest.param(
-        ["convergence", "--preset", "bfdr_fixed_alpha", "--grid", "1e3,1e6,1e9,1e12"],
+        ["convergence", "--preset", "bfdr_fixed_alpha", "--grid", "1e3,1e6,1e9,1e12"], None,
         "1ca1d0ba4e434d2c7808e15f8e0478871136137cd1651fe6aa2245ca3dce067d",
         id="bfdr_fixed_alpha_grid",
+    ),
+    # Config files, recorded before every config object was read by one reader:
+    # integer fields, a power/decaying regime and a preset's overrides.
+    pytest.param(
+        ["simulate"], {"setting": {"p": 0.02, "u": 25, "delta": 2, "m": 100000},
+                       "rule": {"kind": "replicate", "n": 3, "d": 1}, "reps": 300, "seed": 4},
+        "f0a74557cbdbe00a3dab398f4e4f56bc5296769fdb96dedbe3e82f9c55758237",
+        id="config_setting_and_rule",
+    ),
+    pytest.param(
+        ["convergence"], {"regime": {"beta": 2, "sparsity": {"family": "power", "kappa": 0.5, "a": 1},
+                                     "delta": {"family": "decaying", "g": 1}, "alpha": 0.1},
+                          "rule": {"kind": "bfdr"}, "grid": [1e3, 1e6, 1e9]},
+        "0ad084f90ecb1974c107b145f3a3748078a730729c372a849caed0a21fec6ba5",
+        id="config_regime",
+    ),
+    pytest.param(
+        ["simulate"], {"preset": "bh_fixed_alpha", "overrides": {"alpha": 0.2, "kappa": 0.6, "beta": 2},
+                       "m": 1e5, "reps": 100, "seed": 9},
+        "6367671837f452068b9083532854649f5fa4af31c6d457de28bb64f445fdf3ff",
+        id="config_preset_overrides",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_CSVS)
-def test_csv_bytes_match_the_recorded_digests(tmp_path, capsys, argv, digest):
+@pytest.mark.parametrize("argv, config, digest", GOLDEN_CSVS)
+def test_csv_bytes_match_the_recorded_digests(tmp_path, capsys, argv, config, digest):
     out_path = tmp_path / "out.csv"
-    code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+    code, _, err = run_cli(capsys, *with_config(tmp_path, argv, config), "--out", str(out_path))
     assert code == 0, err
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 

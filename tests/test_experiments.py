@@ -20,6 +20,7 @@ from sparsemix import (
     ExtremeSparsity,
     McOptions,
     OracleRule,
+    ConfigError,
     ParameterError,
     PowerSparsity,
     Regime,
@@ -248,6 +249,18 @@ def test_preset_overrides():
         preset("no_such_preset")
     with pytest.raises(ParameterError):
         preset("bfdr_fixed_alpha", bogus=1.0)
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"alpha": "x"}, "overrides.alpha"),
+    ({"kappa": True}, "overrides.kappa"),
+    ({"s": 1.0}, "overrides.s"),
+    ({"beta": 10**400}, "overrides.beta"),
+])
+def test_preset_override_errors_name_the_field(overrides, path):
+    with pytest.raises(ConfigError) as exc:
+        preset("bh_fixed_alpha", **overrides)
+    assert exc.value.path == path
 
 
 def test_preset_mc_grids_for_step_up():

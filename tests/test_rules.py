@@ -17,6 +17,7 @@ from sparsemix import (
     LogVRule,
     MixtureModel,
     OracleRule,
+    ConfigError,
     ParameterError,
     ReplicateRule,
     TestingSetting,
@@ -196,6 +197,27 @@ def test_rule_config_rejects_unknowns():
         rule_from_config({"kind": "universal", "alpha": 0.1})
     with pytest.raises(ParameterError):
         rule_from_config({"no_kind": True})
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"kind": "universal", "d": "x"}, "rule.d"),
+    ({"kind": "replicate", "n": "3"}, "rule.n"),
+    ({"kind": "bfdr", "alpha": True}, "rule.alpha"),
+    ({"kind": "fixed"}, "rule.c_sq"),
+    ({"kind": "universal", "alpha": 0.1}, "rule.alpha"),
+    ({"kind": ["bh"]}, "rule.kind"),
+    ([], "rule"),
+])
+def test_rule_config_errors_name_the_field(config, path):
+    with pytest.raises(ConfigError) as exc:
+        rule_from_config(config)
+    assert exc.value.path == path
+    assert isinstance(exc.value, ParameterError)
+
+
+def test_rule_config_fields_are_read_as_floats():
+    rule = rule_from_config({"kind": "replicate", "n": 3, "d": None})
+    assert rule == ReplicateRule(n=3.0) and type(rule.n) is float
 
 
 def test_rule_validation():
