@@ -7,14 +7,21 @@ is
 
 a strictly decreasing function of c that starts at 1-p and vanishes as
 c -> inf, so every level alpha in (0, 1-p) has a unique threshold.
-Inversion is done by plain bisection on the |Z| scale: the map is provably
-monotone, bisection cannot be fooled, and fifty halvings cost nothing.
+Inversion is done by bisection on the |Z| scale: the map is provably
+monotone and bisection cannot be fooled.  A few Newton steps on the
+log-odds scale first estimate the root, and a bracket around the estimate,
+certified with the function itself, decides the side of the level for
+most of the ~48 halvings without evaluating there.  The halvings, and so
+every returned threshold and every error, are those of the plain
+bisection; a solve evaluates the function about 9 times instead of 48.
 
 The threshold matched to the false-discovery-rate procedure ("GW" here,
 after the fixed-point equation it solves) is computed by an independent
 bisection on its own defining equation; that it coincides with the BFDR
 threshold at level alpha(1-p) is a theorem, and the test suite checks the
-two solvers against each other rather than wiring the identity in.
+two solvers against each other rather than wiring the identity in.  The
+two share only the root estimate, which decides where to evaluate; each
+threshold comes from bisecting its own function.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .model import (
     type1_exact,
     type2_exact,
 )
-from .normal import _SQRT2
+from .normal import _INV_SQRT_2PI, _SQRT2
 
 __all__ = [
     "BfdrLevel",
@@ -112,7 +119,65 @@ def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
     return 1.0 / (1.0 + math.exp(log_ratio))
 
 
-def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
+# A certified bracket [a, b] around the root lets the bisection skip every
+# midpoint outside it: fn(a) > target (1 + _MARGIN) and fn(b) < target (1 -
+# _MARGIN).  On [0, _Z_ACCURATE] both tails are normal doubles (down to
+# about 1e-299), both evaluators take their direct branch, and their
+# relative rounding error e stays below _MARGIN / 20 (about 2e-13 at the
+# top; a test checks it against mpmath).  The exact function decreases, so
+# for z <= a the computed fn(z) >= fn(a) (1 - e)/(1 + e) > target, and for
+# b <= z <= _Z_ACCURATE fn(z) < target: each skipped evaluation would have
+# moved the bracket the same way.  The root estimate uses math.erfc, whose
+# bits reach no result: only the certified bracket does.
+_MARGIN = 1e-11
+_Z_ACCURATE = 37.0
+_NEWTON_STEPS = 12
+
+
+def _log_tail(x: float) -> float:
+    """log(1 - Phi(x)); finite for the x <= _Z_ACCURATE it is used at."""
+    return math.log(0.5 * math.erfc(x / _SQRT2))
+
+
+def _hazard(x: float) -> float:
+    """The normal hazard phi(x) / (1 - Phi(x))."""
+    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI / (0.5 * math.erfc(x / _SQRT2))
+
+
+def _root_bracket(s: float, log_odds: float, scale: float) -> tuple[float, float] | None:
+    """A candidate bracket around the z > 0 with
+    log(1-Phi(z)) - log(1-Phi(z/s)) = log_odds, or None.
+
+    Both solvers' equations reduce to this one, and on this log-odds scale
+    the left side is concave and decreasing, with the closed-form slope
+    h(z/s)/s - h(z) (h the normal hazard).  Newton steps from the large-z
+    expansion converge from above after at most one overshoot.  The
+    solver's function moves by a relative scale * slope * dz; the bracket
+    is the estimate +- twice the margin over that rate, so its ends clear
+    the level by about 2 * _MARGIN.  None where a step fails (no slope left
+    in the difference, a non-finite value, z leaving (0, _Z_ACCURATE]) or
+    no step gets within a quarter of the margin.  The solver certifies the
+    bracket with its own function before using it.
+    """
+    w = 1.0 - 1.0 / (s * s)
+    if not (log_odds < 0.0 and w > 0.0):
+        return None
+    z = min(math.sqrt(max(-2.0 * (log_odds + math.log(s)) / w, 0.0)), _Z_ACCURATE)
+    for _ in range(_NEWTON_STEPS):
+        slope = _hazard(z / s) / s - _hazard(z)
+        if not slope < 0.0:
+            return None
+        residual = _log_tail(z) - _log_tail(z / s) - log_odds
+        z -= residual / slope
+        if not 0.0 < z <= _Z_ACCURATE:
+            return None
+        if abs(residual) <= 0.25 * _MARGIN:
+            half = 2.0 * _MARGIN / (scale * -slope)
+            return z - half, z + half
+    return None
+
+
+def _bisect_decreasing(fn, target: float, hi_start: float, near=None) -> float:
     """Root of fn(c) = target for strictly decreasing fn with fn(0) > target.
 
     Grows the bracket geometrically from hi_start until fn(hi) < target,
@@ -122,10 +187,28 @@ def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
     bracket alone does not put fn within the tolerance.  Once the bracket
     is two adjacent doubles the midpoint rounds to one of them; the other is
     then the last candidate, returned if it meets the level.
+
+    near is an optional candidate bracket (a, b).  It is certified with fn
+    itself (two evaluations); if it holds, every test of fn whose outcome it
+    decides is skipped: a point at or below a is known to lie above the
+    level, and one in [b, _Z_ACCURATE] below it (see _MARGIN).  The
+    arithmetic, the sequence of midpoints, the stopping rule and the errors
+    stay those of the plain bisection, and fn is still evaluated once the
+    bracket is narrow, at a stall, between a and b, above _Z_ACCURATE and
+    everywhere when the candidate fails.  So the result is the same double,
+    or the same error, with or without near; only the evaluations differ
+    (about 48 per solve without, under 15 with).
     """
+    a, b = -math.inf, math.inf
+    if near is not None:
+        za, zb = near
+        if (0.0 < za < zb <= _Z_ACCURATE and fn(za) > target * (1.0 + _MARGIN)
+                and fn(zb) < target * (1.0 - _MARGIN)):
+            a, b = za, zb
+
     hi = max(hi_start, 1.0)
     for _ in range(200):
-        if fn(hi) < target:
+        if hi > a and (b <= hi <= _Z_ACCURATE or fn(hi) < target):
             break
         hi *= 2.0
     else:
@@ -133,8 +216,16 @@ def _bisect_decreasing(fn, target: float, hi_start: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        narrow = hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0)
+        if not narrow:  # only the side of the level matters
+            if mid <= a:
+                lo = mid
+                continue
+            if b <= mid <= _Z_ACCURATE:
+                hi = mid
+                continue
         value = fn(mid)
-        if hi - lo <= 1e-13 * max(1.0, hi) and abs(value - target) <= 1e-11:
+        if narrow and abs(value - target) <= 1e-11:
             return mid
         if mid in (lo, hi):
             other = hi if mid == lo else lo
@@ -167,7 +258,14 @@ def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     # construction, then grown geometrically if even that is too small.
     log_v1 = math.log(u) + 2.0 * math.log(model.f)
     hi_sq = 4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0)
-    c = _bisect_decreasing(lambda z: bfdr_of_threshold(model, z * z), level.alpha, math.sqrt(hi_sq))
+    alpha, p = level.alpha, model.p
+    # BFDR odds alpha/(1-alpha) = ((1-p)/p) (1-Phi(c)) / (1-Phi(c/s)).
+    near = _root_bracket(
+        math.sqrt(u + 1.0),
+        math.log(alpha) - math.log1p(-alpha) + math.log(p) - math.log1p(-p),
+        1.0 - alpha,
+    )
+    c = _bisect_decreasing(lambda z: bfdr_of_threshold(model, z * z), alpha, math.sqrt(hi_sq), near)
     return ThresholdSq(c * c)
 
 
@@ -198,7 +296,14 @@ def gw_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     u = model.u
     log_v1 = math.log(u) + 2.0 * math.log(model.f)
     hi_sq = 4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0)
-    c = _bisect_decreasing(lambda z: _gw_value(model, z), level.alpha, math.sqrt(hi_sq))
+    alpha, p = level.alpha, model.p
+    # (1-Phi(c)) / ((1-p)(1-Phi(c)) + p(1-Phi(c/s))) = alpha, solved for the tail ratio.
+    near = _root_bracket(
+        math.sqrt(u + 1.0),
+        math.log(alpha) + math.log(p) - math.log1p(-alpha * (1.0 - p)),
+        1.0 - alpha * (1.0 - p),
+    )
+    c = _bisect_decreasing(lambda z: _gw_value(model, z), alpha, math.sqrt(hi_sq), near)
     return ThresholdSq(c * c)
 
 

@@ -22,9 +22,11 @@ Exit codes: 0 success; 1 domain errors such as a value out of its range
 (module messages surfaced verbatim) and unwritable outputs; 2 flag or
 config-schema errors, each naming its field path: a field that is unknown,
 missing, of the wrong type or without effect (overrides without a preset;
-a setting, setting flag or regime beside one), a negative seed, and
-requests beyond MAX_M tests sampled, MAX_REPS replicates or MAX_GRID_POINTS
-convergence grid points, which are refused before anything is allocated.
+a setting, setting flag or regime beside one; a threshold flag that no
+selected rule reads; reps, seed or workers in exact mode), a negative
+seed, and requests beyond MAX_M tests sampled, MAX_REPS replicates or
+MAX_GRID_POINTS convergence grid points, which are refused before
+anything is allocated.
 
 Config files are single JSON documents mirroring the flags; flags override
 config fields.  A setting, rule, sparsity or delta family and a preset's
@@ -36,8 +38,6 @@ column orders.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import stat
@@ -92,7 +92,11 @@ _RISK_COLUMNS = ("m", "p", "u", "delta0", "deltaA", "c_sq", "r1", "r2", "total")
 # Formatting and emission.
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """A CSV cell that is not a Python float: an identifier as it is, a bool
+    or an integer as written, any other number as a float."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -108,12 +112,15 @@ def _show(value) -> str:
 
 
 def _csv_text(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    """One header row, then the rows.  Every cell is a fixed identifier or a
+    number, so none needs quoting.  Table cells are Python floats, formatted
+    at once; any other cell goes through _cell."""
+    lines = [",".join(columns)]
     for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
-    return buf.getvalue()
+        lines.append(",".join([format(cell, ".17g") if type(cell) is float else _cell(cell)
+                               for cell in row]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -309,31 +316,52 @@ def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOpti
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
     workers = _flag_or_field(args, cfg, "workers", int)
-    out = _flag_or_field(args, cfg, "out", str)
     echo.update(reps=reps, seed=seed)
     if workers is not None:
         echo["workers"] = workers
+    return McOptions(reps=reps, seed=seed, workers=workers), _output(cfg, args, echo)
+
+
+def _output(cfg: dict, args, echo: dict) -> str | None:
+    """The output path, echoed; None for stdout."""
+    out = _flag_or_field(args, cfg, "out", str)
     if out is not None:
         echo["out"] = out
-    return McOptions(reps=reps, seed=seed, workers=workers), out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 
+_MIXTURE_KEYS = ("p", "u", "tau_sq", "sigma_sq")
+# The flags each threshold rule reads, in the order the rules print.
+_THRESHOLD_READS = {
+    "oracle": (*_MIXTURE_KEYS, "delta", "delta0", "deltaA"),
+    "bfdr": (*_MIXTURE_KEYS, "alpha"),
+    "gw": (*_MIXTURE_KEYS, "alpha"),
+    "bonferroni": ("m", "alpha"),
+    "universal": ("m", "d"),
+    "replicate": ("m", "n", "d"),
+}
+
+
 def cmd_threshold(args) -> int:
     par = args.parser
-    selected = [name for name in ("oracle", "bfdr", "gw", "bonferroni", "universal", "replicate")
-                if getattr(args, name)]
+    selected = [name for name in _THRESHOLD_READS if getattr(args, name)]
     if not selected:
         par.error("select at least one rule "
                   "(--oracle/--bfdr/--gw/--bonferroni/--universal/--replicate)")
+    read = {key for name in selected for key in _THRESHOLD_READS[name]}
     echo = []
     for attr in (*_SETTING_KEYS, "alpha", "n", "d"):
         value = getattr(args, attr)
-        if value is not None:
-            echo.append(f"{attr}={_show(value)}")
+        if value is None:
+            continue
+        if attr not in read:  # refused, not echoed and ignored
+            path = attr if attr in ("m", "alpha", "n", "d") else "setting." + attr
+            raise ConfigError(path, "not used by " + " ".join("--" + name for name in selected))
+        echo.append(f"{attr}={_show(value)}")
     print(" ".join(echo) if echo else "(defaults)")
     # Only the mixture-based rules need a setting; the others need only m.
     if {"oracle", "bfdr", "gw"}.intersection(selected):
@@ -460,7 +488,12 @@ def cmd_convergence(args) -> int:
         mode = "mc" if isinstance(rule, BhRule) else "exact"
     if mode == "mc":
         _at_most("grid", max(point.m for point in regime.points()), MAX_M, "tests per point")
-    mc, out = _run_options(cfg, args, 400, echo)
+        mc, out = _run_options(cfg, args, 400, echo)
+    else:
+        for key in ("reps", "seed", "workers"):  # refused, not echoed and ignored
+            if _flag_or_field(args, cfg, key, int) is not None:
+                raise ConfigError(key, "not used in exact mode")
+        mc, out = None, _output(cfg, args, echo)
     echo.update(rule=rule_to_config(rule), mode=mode)
     rows = run_convergence(regime, rule, mode, mc)
     table = [[getattr(row, col) for col in CONVERGENCE_COLUMNS] for row in rows]

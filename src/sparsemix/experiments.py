@@ -244,14 +244,17 @@ def regime_verge(
         m = float(t)
         if not (np.isfinite(m) and m > 1.0):
             raise ParameterError("regime points need m > 1")
-        p = sparsity.p(m)
+        try:  # a power of log m, e.g. (log m)^log_exponent, can overflow
+            p, delta = sparsity.p(m), delta_rule.delta(m)
+        except OverflowError:
+            raise ParameterError(f"the regime's sparsity or delta overflows at m = {m!r}") from None
         if not 0.0 < p < 1.0:
             raise ParameterError(f"sparsity gives p = {p!r} at m = {m!r}, outside (0, 1)")
         return RegimePoint(
             m=m,
             p=p,
             u=beta * math.log(m),
-            delta=delta_rule.delta(m),
+            delta=delta,
             consts=consts,
             alpha=alpha_fn(m) if alpha_fn is not None else None,
             n=n_fn(m) if n_fn is not None else None,

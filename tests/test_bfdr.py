@@ -5,6 +5,7 @@ bisections on different equations; their agreement at alpha' = alpha(1-p)
 is checked here as a fact about the functions, not wired into either one.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparsemix import (
     DerivedParams,
     LevelError,
     MixtureModel,
+    PRESET_NAMES,
     ParameterError,
     bfdr_identity_residual,
     bfdr_of_threshold,
@@ -27,6 +29,7 @@ from sparsemix import (
     oracle_bfdr_asymptotic,
     oracle_bfdr_asymptotic_finite,
     oracle_threshold_sq,
+    preset,
 )
 
 
@@ -221,6 +224,110 @@ def test_bisection_raises_when_no_midpoint_meets_the_level(monkeypatch):
             with pytest.raises(ParameterError, match="1e-11 level tolerance"):
                 solver(model, BfdrLevel(alpha))
             assert len(calls) < 70
+
+
+# -----------------------------------------------------------------------
+# Certified brackets: fewer evaluations, the same bits.
+
+
+def _log_uniform(rng, n, lo, hi):
+    return (10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=n)).tolist()
+
+
+def _sweep_triples(name):
+    """Seeded (p, u, alpha) triples: the exact_sweep benchmark's box, a deep
+    box (p down to 1e-300, u up to 1e6, alpha down to 1e-12), or every point
+    on the preset grids at its own level and three fixed ones."""
+    if name == "presets":
+        return [
+            (point.p, point.u, alpha)
+            for preset_name in PRESET_NAMES
+            for point in preset(preset_name)[0].points()
+            for alpha in sorted({point.alpha or 0.1, 0.01, 0.1, 0.3})
+        ]
+    n = 10_000
+    if name == "box":
+        rng = np.random.default_rng(20140)
+        return list(zip(_log_uniform(rng, n, 1e-8, 0.4), _log_uniform(rng, n, 0.5, 1e4),
+                        _log_uniform(rng, n, 1e-3, 0.5)))
+    rng = np.random.default_rng(20141)
+    return list(zip(_log_uniform(rng, n, 1e-300, 0.5), _log_uniform(rng, n, 1e-3, 1e6),
+                    _log_uniform(rng, n, 1e-12, 0.5)))
+
+
+# sha256 of both solvers' results over each sweep, recorded with the plain
+# bisection before the solvers took a certified bracket.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("box", "ecd3f9c7219e270a35b1f016f803464776f248ab5f8f03385b3322de24dd7795"),
+        ("deep", "155472c20042ab1c5254886a6598b17bead5da18d245f22ccbcd6f365e8f52f8"),
+        ("presets", "e1172d4753760a86bbcfdbc4d90a05daa03cfa7a4441acf424f7e92f8a8df297"),
+    ],
+)
+def test_solver_sweeps_keep_their_recorded_bits(name, digest):
+    lines = []
+    for p, u, alpha in _sweep_triples(name):
+        model, out = _model(p=p, u=u), [p.hex(), u.hex(), alpha.hex()]
+        for solver in (bfdr_threshold, gw_threshold):
+            try:
+                out.append(float(solver(model, BfdrLevel(alpha))).hex())
+            except ParameterError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        lines.append(" ".join(out))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_bracket_margin_is_far_above_the_rounding_error():
+    """On |Z| <= _Z_ACCURATE both evaluators stay within _MARGIN / 20 of an
+    mpmath reference, which is what lets a certified bracket decide a side
+    of the level without evaluating."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(20142)
+    n = 2000
+    worst = 0.0
+    for p, u, z in zip(_log_uniform(rng, n, 1e-300, 0.5), _log_uniform(rng, n, 1e-3, 1e6),
+                       rng.uniform(0.0, bfdr._Z_ACCURATE, n).tolist()):
+        model = _model(p=p, u=u)
+        big_p, big_z = mpmath.mpf(p), mpmath.mpf(z)
+        q0 = mpmath.erfc(big_z / mpmath.sqrt(2))
+        qa = mpmath.erfc(big_z / mpmath.sqrt(mpmath.mpf(model.u) + 1) / mpmath.sqrt(2))
+        den = (1 - big_p) * q0 + big_p * qa
+        for got, want in ((bfdr_of_threshold(model, z * z), (1 - big_p) * q0 / den),
+                          (bfdr._gw_value(model, z), q0 / den)):
+            worst = max(worst, float(abs(got / want - 1)))
+    assert 0.0 < worst and bfdr._MARGIN >= 20.0 * worst
+
+
+def test_solves_on_the_preset_grids_take_few_evaluations(monkeypatch):
+    """The plain bisection took about 48 evaluations per solve; a silent
+    fall-back to it fails here."""
+    calls = []
+    for name in ("bfdr_of_threshold", "_gw_value"):
+        original = getattr(bfdr, name)
+        monkeypatch.setattr(bfdr, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    for p, u, alpha in _sweep_triples("presets"):
+        for solver in (bfdr_threshold, gw_threshold):
+            calls.clear()
+            c_sq = solver(_model(p=p, u=u), BfdrLevel(alpha))
+            assert c_sq.z <= bfdr._Z_ACCURATE  # the direct branch
+            assert len(calls) <= 15
+
+
+def test_a_bracket_that_fails_certification_leaves_the_plain_bisection():
+    """A wrong candidate costs its two evaluations and nothing else."""
+    def fn(z):
+        calls.append(z)
+        return math.exp(-z)
+
+    results = []
+    for near in (None, (0.5, 0.6), (3.0 - 1e-9, 3.0 + 1e-9)):
+        calls = []
+        results.append((bfdr._bisect_decreasing(fn, math.exp(-3.0), 20.0, near), len(calls)))
+    (plain, n_plain), (wrong, n_wrong), (good, n_good) = results
+    assert plain == wrong == good
+    assert n_wrong == n_plain + 2 and n_good < n_plain / 2
 
 
 # -----------------------------------------------------------------------

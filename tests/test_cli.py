@@ -186,6 +186,27 @@ def test_threshold_rejects_conflicting_or_missing_setting_flags(capsys, flags, f
     assert run_cli(capsys, "risk", *flags)[0] == 2
 
 
+@pytest.mark.parametrize("flags, path", [
+    (["--universal", "--m", "100", "--p", "0.3", "--alpha", "0.5"], "setting.p: not used by --universal"),
+    (["--bfdr", "--gw", "--p", "0.1", "--u", "3", "--alpha", "0.1", "--delta", "2"],
+     "setting.delta: not used by --bfdr --gw"),
+    (["--bfdr", "--p", "0.1", "--u", "3", "--alpha", "0.1", "--m", "100"], "m: not used by --bfdr"),
+    (["--oracle", "--p", "0.1", "--u", "3", "--alpha", "0.1"], "alpha: not used by --oracle"),
+    (["--bonferroni", "--m", "100", "--alpha", "0.1", "--d", "1"], "d: not used by --bonferroni"),
+    (["--universal", "--m", "100", "--n", "3"], "n: not used by --universal"),
+])
+def test_threshold_refuses_flags_no_selected_rule_reads(capsys, flags, path):
+    """A flag that changes no printed threshold is refused, not echoed."""
+    code, out, err = run_cli(capsys, "threshold", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {path}\n"
+
+
+def test_convergence_exact_mode_refuses_sampling_options(capsys):
+    code, out, err = run_cli(capsys, "convergence", "--preset", "lemma_universal", "--reps", "7")
+    assert (code, out, err) == (2, "", "config error: reps: not used in exact mode\n")
+
+
 def test_threshold_level_above_supremum_is_domain_error(capsys):
     # sup of the curve at p=0.1, u=3 is 1 - p = 0.9
     code, _, err = run_cli(
@@ -548,6 +569,12 @@ def _regime(**families):
                   "--seed", "-1"], None, "seed", id="convergence_mc_negative_seed_flag"),
     pytest.param(["convergence"], {"preset": "lemma_universal", "mode": "mc", "grid": [1e3],
                                    "reps": 2, "seed": -4}, "seed", id="convergence_mc_negative_seed_field"),
+    *(pytest.param(["convergence", "--preset", "lemma_universal", "--grid", "1e3", f"--{key}", "3"], None,
+                   key, id=f"exact_{key}_flag") for key in ("reps", "seed", "workers")),
+    *(pytest.param(["convergence"], {"preset": "lemma_universal", "grid": [1e3], key: 3},
+                   key, id=f"exact_{key}_field") for key in ("reps", "seed", "workers")),
+    pytest.param(["convergence", "--preset", "bfdr_fixed_alpha", "--mode", "exact", "--seed", "0"], None,
+                 "seed", id="exact_mode_flag_seed"),
 ])
 def test_malformed_config_is_exit_two_with_the_field_path(tmp_path, capsys, argv, config, path):
     """Every unknown, missing, mistyped or ignored field, from a config file
@@ -574,6 +601,20 @@ def test_a_value_out_of_range_stays_a_domain_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("family", [
+    {"sparsity": {"family": "extreme", "log_exponent": 368}},
+    {"delta": {"family": "decaying", "g": 2000}, "grid": [2.0]},
+])
+def test_a_family_that_overflows_is_a_domain_error(tmp_path, capsys, family):
+    """(log m)^log_exponent or (log m)^-g beyond the floats: exit 1, no traceback."""
+    cfg = tmp_path / "cfg.json"
+    regime = {"beta": 2.0, "sparsity": {"family": "extreme"}, "grid": [1e3, 1e4], **family}
+    cfg.write_text(json.dumps({"regime": regime, "rule": {"kind": "oracle"}}))
+    code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the regime's sparsity or delta overflows at m = ")
 
 
 _JSON_VALUES = st.recursive(
@@ -917,6 +958,42 @@ def test_csv_bytes_match_the_recorded_digests(tmp_path, capsys, argv, config, di
     code, _, err = run_cli(capsys, *with_config(tmp_path, argv, config), "--out", str(out_path))
     assert code == 0, err
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def _csv_writer_text(columns, rows):
+    """The CSV the CLI wrote through csv.writer, kept as the reference."""
+    def fmt(value):
+        if isinstance(value, (bool, numpy.bool_)):
+            return str(bool(value))
+        if isinstance(value, (int, numpy.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+    return buf.getvalue()
+
+
+_IDENTIFIERS = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                                math.nan, math.inf, -math.inf, 0.1, 1e16, 2.0**53 + 2])
+_CELLS = st.one_of(
+    st.floats(), _EDGE_FLOATS, st.integers(), st.booleans(), _IDENTIFIERS,
+    (st.floats() | _EDGE_FLOATS).map(numpy.float64), st.floats(width=32).map(numpy.float32),
+    st.integers(-2**63, 2**63 - 1).map(numpy.int64), st.booleans().map(numpy.bool_),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(_IDENTIFIERS, min_size=1, max_size=6),
+       rows=st.lists(st.lists(_CELLS, max_size=6), max_size=5))
+def test_csv_text_matches_the_csv_writer(columns, rows):
+    """Joining cells gives csv.writer's bytes for every cell the commands
+    write: identifiers, and floats, integers and bools, numpy or not."""
+    assert cli._csv_text(columns, rows) == _csv_writer_text(columns, rows)
 
 
 @pytest.mark.parametrize("argv", [
