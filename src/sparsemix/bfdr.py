@@ -134,14 +134,11 @@ _Z_ACCURATE = 37.0
 _NEWTON_STEPS = 12
 
 
-def _log_tail(x: float) -> float:
-    """log(1 - Phi(x)); finite for the x <= _Z_ACCURATE it is used at."""
-    return math.log(0.5 * math.erfc(x / _SQRT2))
-
-
-def _hazard(x: float) -> float:
-    """The normal hazard phi(x) / (1 - Phi(x))."""
-    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI / (0.5 * math.erfc(x / _SQRT2))
+def _log_tail_and_hazard(x: float) -> tuple[float, float]:
+    """log(1 - Phi(x)) and the normal hazard phi(x) / (1 - Phi(x)), from one
+    erfc; both finite for the 0 <= x <= _Z_ACCURATE they are used at."""
+    tail = 0.5 * math.erfc(x / _SQRT2)
+    return math.log(tail), math.exp(-0.5 * x * x) * _INV_SQRT_2PI / tail
 
 
 def _root_bracket(s: float, log_odds: float, scale: float) -> tuple[float, float] | None:
@@ -164,10 +161,12 @@ def _root_bracket(s: float, log_odds: float, scale: float) -> tuple[float, float
         return None
     z = min(math.sqrt(max(-2.0 * (log_odds + math.log(s)) / w, 0.0)), _Z_ACCURATE)
     for _ in range(_NEWTON_STEPS):
-        slope = _hazard(z / s) / s - _hazard(z)
+        log_tail, hazard = _log_tail_and_hazard(z)
+        log_tail_s, hazard_s = _log_tail_and_hazard(z / s)
+        slope = hazard_s / s - hazard
         if not slope < 0.0:
             return None
-        residual = _log_tail(z) - _log_tail(z / s) - log_odds
+        residual = log_tail - log_tail_s - log_odds
         z -= residual / slope
         if not 0.0 < z <= _Z_ACCURATE:
             return None

@@ -43,6 +43,7 @@ import os
 import stat
 import sys
 from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -495,8 +496,8 @@ def cmd_convergence(args) -> int:
                 raise ConfigError(key, "not used in exact mode")
         mc, out = None, _output(cfg, args, echo)
     echo.update(rule=rule_to_config(rule), mode=mode)
-    rows = run_convergence(regime, rule, mode, mc)
-    table = [[getattr(row, col) for col in CONVERGENCE_COLUMNS] for row in rows]
+    cells = attrgetter(*CONVERGENCE_COLUMNS)
+    table = [cells(row) for row in run_convergence(regime, rule, mode, mc)]
     _emit(
         out,
         "convergence",

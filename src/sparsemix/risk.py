@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .model import (
     AsymptoticConstants,
+    DerivedParams,
     TestingSetting,
     derive,
     oracle_threshold_sq,
@@ -32,6 +33,7 @@ from .model import (
 __all__ = [
     "RiskBreakdown",
     "OptimalityDiagnostics",
+    "risk_from_rates",
     "fixed_threshold_risk",
     "optimal_risk_exact",
     "optimal_risk_asymptotic",
@@ -66,23 +68,30 @@ class OptimalityDiagnostics:
     crit2: float
 
 
+def risk_from_rates(setting: TestingSetting, t1: float, t2: float) -> RiskBreakdown:
+    """Risk of a fixed-threshold rule with type I error t1 and type II error
+    t2: r1 = m (1-p) t1 delta0 and r2 = m p t2 deltaA."""
+    p = setting.model.p
+    m = float(setting.m)
+    return RiskBreakdown(
+        r1=m * (1.0 - p) * t1 * setting.losses.delta0,
+        r2=m * p * t2 * setting.losses.deltaA,
+    )
+
+
 def fixed_threshold_risk(setting: TestingSetting, c_sq) -> RiskBreakdown:
     """Exact risk of "reject when X^2/sigma^2 >= c^2" under the setting."""
-    p = setting.model.p
-    u = setting.model.u
-    m = float(setting.m)
-    r1 = m * (1.0 - p) * type1_exact(c_sq) * setting.losses.delta0
-    r2 = m * p * type2_exact(c_sq, u) * setting.losses.deltaA
-    return RiskBreakdown(r1=r1, r2=r2)
+    return risk_from_rates(setting, type1_exact(c_sq), type2_exact(c_sq, setting.model.u))
 
 
-def optimal_risk_exact(setting: TestingSetting) -> RiskBreakdown:
+def optimal_risk_exact(setting: TestingSetting, derived: DerivedParams | None = None) -> RiskBreakdown:
     """Risk of the Bayes oracle: fixed_threshold_risk at the oracle threshold.
 
     In the degenerate case the threshold is 0 (reject everything) and the
-    risk is m (1-p) delta0 by construction.
+    risk is m (1-p) delta0 by construction.  A caller that holds
+    derive(setting) already passes it as derived.
     """
-    d = derive(setting)
+    d = derive(setting) if derived is None else derived
     c_sq = oracle_threshold_sq(d.u, log_v=d.log_v)
     return fixed_threshold_risk(setting, c_sq)
 

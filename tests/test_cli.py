@@ -928,6 +928,30 @@ GOLDEN_CSVS = [
         "1ca1d0ba4e434d2c7808e15f8e0478871136137cd1651fe6aa2245ca3dce067d",
         id="bfdr_fixed_alpha_grid",
     ),
+    # The other fixed-threshold presets' exact tables, as in bench/goldens.json.
+    *(pytest.param(["convergence", "--preset", name], None, digest, id=f"{name}_exact")
+      for name, digest in (
+          ("bfdr_fixed_delta", "38af569c66b6b9db87b388632ae1716d4a119bb50b624c90078bd3f923a49234"),
+          ("bfdr_sqrt_level", "dd3ae924099ecc7559a0b4a5175b966d7cc412cc87a4eecca8a63c4bd2c00110"),
+          ("bonferroni_extreme", "32a8f479973ce9d27d19dd9c6f97f3a3fbcc8750104214b7704486fb62c46576"),
+          ("gw_fixed_alpha", "f6a80b43db304e341812aaa9a929d46c0f36c7d1fbb800193925e165140c4680"),
+          ("nonconforming_sublog", "78926faff55ffcdaf96bcf029429b3e5496fbc0f8a849d1e5f58762d07ad8e29"),
+          ("replicate_verge", "8e7fbcca59389901bd90047b23e4957e45f3a88808058ef5a55ba7db3081c8d1"),
+      )),
+    # Monte-Carlo tables, recorded before the exact and mc modes shared one row builder.
+    pytest.param(
+        ["convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3,1e4", "--reps", "50", "--seed", "3"],
+        None,
+        "8a94c0cba61c38cf5e57c563134893b85cdcb77f2d3092758c510262091a9ebe",
+        id="bh_fixed_alpha_mc",
+    ),
+    pytest.param(
+        ["convergence", "--preset", "lemma_universal", "--mode", "mc", "--grid", "1e3,1e4",
+         "--reps", "50", "--seed", "3"],
+        None,
+        "308074c57b420523d2bf32503cb426f1a36e03b28c78941c77e5b7d46cde0b3f",
+        id="lemma_universal_mc",
+    ),
     # Config files, recorded before every config object was read by one reader:
     # integer fields, a power/decaying regime and a preset's overrides.
     pytest.param(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsemix import (
     CONVERGENCE_COLUMNS,
@@ -12,12 +14,18 @@ from sparsemix import (
     DEFAULT_MC_GRID,
     PRESET_NAMES,
     AsymptoticConstants,
+    BfdrLevel,
+    BfdrRule,
     BhRule,
+    BonferroniRule,
     ConstantDelta,
     ConvergenceRow,
     DecayingDelta,
     DerivedParams,
     ExtremeSparsity,
+    FixedThresholdRule,
+    GwRule,
+    LogVRule,
     McOptions,
     OracleRule,
     ConfigError,
@@ -25,10 +33,20 @@ from sparsemix import (
     PowerSparsity,
     Regime,
     RegimePoint,
+    ReplicateRule,
+    UniversalRule,
+    bfdr_optimality_diagnostics,
+    derive,
+    error_rates,
+    fill_rule,
+    fixed_threshold_risk,
+    optimal_risk_exact,
+    optimality_diagnostics,
     point_setting,
     preset,
     regime_verge,
     run_convergence,
+    threshold_sq,
 )
 
 # -----------------------------------------------------------------------
@@ -347,3 +365,101 @@ def test_convergence_mc_reproducible():
     a = run_convergence(regime, BhRule(), mode="mc", mc_opts=McOptions(reps=50, seed=9))
     b = run_convergence(regime, BhRule(), mode="mc", mc_opts=McOptions(reps=50, seed=9))
     assert a == b
+
+
+def _reference_rows(regime, rule) -> list[ConvergenceRow]:
+    """Exact-mode rows composed from the public closed forms, one call per
+    quantity: every point first, then each point's rule and threshold."""
+    rows = []
+    for point in regime.points():
+        setting = point_setting(point)
+        c_sq = float(threshold_sq(fill_rule(rule, alpha=point.alpha, n=point.n), setting))
+        risk = fixed_threshold_risk(setting, c_sq).total
+        opt = optimal_risk_exact(setting).total
+        d = derive(setting)
+        z_t = crit2 = ratio1 = etr = efr = math.nan
+        if math.isfinite(c_sq) and d.log_v > 0.0:
+            diag = optimality_diagnostics(c_sq, log_v=d.log_v)
+            z_t, crit2, ratio1 = diag.z_t, diag.crit2, diag.ratio1
+            rates = error_rates(c_sq, d.u)
+            etr = point.m * point.p * (1.0 - rates.t2)
+            efr = point.m * (1.0 - point.p) * rates.t1
+        s_t = cond_w2 = t_uvd = bo_bh_gap = math.nan
+        if point.alpha is not None:
+            try:
+                bd = bfdr_optimality_diagnostics(d, BfdrLevel(point.alpha))
+                s_t, cond_w2, t_uvd = bd.s_t, bd.cond_w2, bd.t_uvd
+            except ParameterError:
+                pass
+            if point.p < math.exp(-1.0):
+                bo_bh_gap = 2.0 * math.log(math.log(1.0 / point.p)) + 2.0 * math.log(point.alpha)
+        rows.append(ConvergenceRow(
+            m=point.m, p=point.p, u=point.u, v=d.v, c_sq=c_sq, risk=risk, risk_opt=opt,
+            ratio=risk / opt, z_t=z_t, crit2=crit2, ratio1=ratio1, s_t=s_t, cond_w2=cond_w2,
+            t_uvd=t_uvd, etr=etr, efr=efr, bo_bh_gap=bo_bh_gap, risk_se=math.nan,
+        ))
+    return rows
+
+
+def _outcome(build):
+    """The rows as exact bits (float.hex tells nan, -0.0 and every ulp apart),
+    or the type and message of what building them raised."""
+    try:
+        rows = build()
+    except Exception as exc:  # any failure must be the reference's failure
+        return type(exc), str(exc)
+    return [[float(getattr(row, col)).hex() for col in CONVERGENCE_COLUMNS] for row in rows]
+
+
+@st.composite
+def _regimes_and_rules(draw):
+    beta = draw(st.floats(0.1, 8.0))
+    if draw(st.booleans()):
+        sparsity = PowerSparsity(kappa=draw(st.floats(0.01, 1.0)), a=draw(st.floats(1e-3, 1.0)))
+    else:
+        sparsity = ExtremeSparsity(s=draw(st.floats(1e-3, 1.0)), log_exponent=draw(st.floats(0.0, 3.0)))
+    if draw(st.booleans()):
+        delta = ConstantDelta(draw(st.floats(1e-3, 1e3)))
+    else:
+        delta = DecayingDelta(g=draw(st.floats(0.1, 6.0)))
+    grid = tuple(sorted({10.0 ** e for e in draw(st.lists(st.floats(0.5, 18.0), min_size=1, max_size=4))}))
+    levels = draw(st.lists(st.floats(1e-4, 0.999), min_size=len(grid), max_size=len(grid)) | st.none())
+    regime = regime_verge(
+        beta, sparsity, delta,
+        alpha_rule=None if levels is None else dict(zip(grid, levels)).__getitem__,
+        n_rule=draw(st.floats(1.0, 100.0)),
+        t_grid=grid,
+    )
+    rule = draw(st.sampled_from([
+        BfdrRule(), GwRule(), BonferroniRule(), LogVRule(draw(st.floats(-4.0, 2.0)), draw(st.floats(-3.0, 3.0))),
+        UniversalRule(draw(st.floats(-5.0, 5.0))), ReplicateRule(d=draw(st.floats(-5.0, 5.0))),
+        FixedThresholdRule(draw(st.floats(0.0, 100.0))), OracleRule(),
+    ]))
+    return regime, rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(regime_and_rule=_regimes_and_rules())
+# v <= 1 at the second point, where the logv rule has no threshold.
+@example(regime_and_rule=(
+    regime_verge(5.0, PowerSparsity(kappa=0.01, a=0.01), DecayingDelta(g=5.0), t_grid=(3.0, 1e6)),
+    LogVRule(),
+))
+# The level reaches the supremum 1 - p = 0.99 at the second point.
+@example(regime_and_rule=(
+    regime_verge(2.0, PowerSparsity(kappa=0.5), ConstantDelta(), t_grid=(1e2, 1e4),
+                 alpha_rule={1e2: 0.1, 1e4: 1.0 - 1e4**-0.5}.__getitem__),
+    BfdrRule(),
+))
+# The first point's level is unattainable and the second point's is no level:
+# generating every point first reports the second.
+@example(regime_and_rule=(
+    regime_verge(2.0, PowerSparsity(kappa=0.5), ConstantDelta(), t_grid=(1e2, 1e4),
+                 alpha_rule={1e2: 0.995, 1e4: 1.5}.__getitem__),
+    BfdrRule(),
+))
+def test_exact_rows_are_the_composition_of_the_closed_forms(regime_and_rule):
+    """Every exact row holds the same bits as the public functions give, and
+    a regime that fails at some point raises what the composition raises."""
+    regime, rule = regime_and_rule
+    assert _outcome(lambda: run_convergence(regime, rule)) == _outcome(lambda: _reference_rows(regime, rule))

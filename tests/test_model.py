@@ -92,6 +92,24 @@ def test_setting_m_contract():
         TestingSetting(setting.model, setting.losses, m=0.5)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: type2_exact(1.0, math.nan), "u must be a finite positive real, got nan"),
+    (lambda: type2_exact(1.0, -1.0), "u must be a finite positive real, got -1.0"),
+    (lambda: type2_exact(1.0, math.inf), "u must be a finite positive real, got inf"),
+    (lambda: Losses(delta0=1.0, deltaA=math.nan), "deltaA must be a finite positive real, got nan"),
+    (lambda: MixtureModel(p=1.5, sigma_sq=1.0, tau_sq=1.0), "p must lie in (0,1), got 1.5"),
+    (lambda: MixtureModel(p=0.5, sigma_sq=1.0, tau_sq=-1.0), "tau_sq must be a finite positive real, got -1.0"),
+    (lambda: TestingSetting(MixtureModel(0.1, 1.0, 1.0), Losses(1.0, 1.0), m=0.5), "m must be >= 1, got 0.5"),
+    (lambda: TestingSetting(MixtureModel(0.1, 1.0, 1.0), Losses(1.0, 1.0), m=math.nan), "m must be >= 1, got nan"),
+])
+def test_validator_messages_name_the_value(make, message):
+    """The checks run on every construction and format their message only
+    when they fail; the message names the parameter and the value."""
+    with pytest.raises(ParameterError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # -----------------------------------------------------------------------
 # Derived parameters.
 
@@ -264,6 +282,18 @@ def test_error_rates_vectorized():
     assert isinstance(rates, ErrorRates)
     assert rates.t1 == type1_exact(4.0)
     assert rates.t2 == type2_exact(4.0, 3.0)
+
+
+def test_scalar_and_array_error_rates_agree_to_a_few_ulps():
+    """Floats go through math.erfc/erf and arrays through scipy's: the bits
+    differ at about half the points, by far less than 1e-13 relative."""
+    c_sq = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, 2000)
+    scalar1 = np.array([type1_exact(float(c)) for c in c_sq])
+    np.testing.assert_allclose(type1_exact(c_sq), scalar1, rtol=1e-13, atol=0.0)
+    for u in (0.01, 4.0, 1e4):
+        scalar2 = np.array([type2_exact(float(c), u) for c in c_sq])
+        np.testing.assert_allclose(type2_exact(c_sq, u), scalar2, rtol=1e-13, atol=0.0)
+    assert np.count_nonzero(type1_exact(c_sq) != scalar1) > 0  # two paths, not one
 
 
 def test_error_rates_reject_negative_threshold():
