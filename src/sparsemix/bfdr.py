@@ -20,8 +20,8 @@ after the fixed-point equation it solves) is computed by an independent
 bisection on its own defining equation; that it coincides with the BFDR
 threshold at level alpha(1-p) is a theorem, and the test suite checks the
 two solvers against each other rather than wiring the identity in.  The
-two share only the root estimate, which decides where to evaluate; each
-threshold comes from bisecting its own function.
+two share the starting bracket and the root estimate, which decide where to
+evaluate; each threshold comes from bisecting its own function.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from scipy import special
 
-from .errors import LevelError, ParameterError
+from .errors import _MAX, LevelError, ParameterError, _c_sq, _level, _positive
 from .model import (
     AsymptoticConstants,
     DerivedParams,
@@ -62,8 +62,7 @@ class BfdrLevel:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0,1), got {self.alpha!r}")
+        _level(self.alpha)
 
     @property
     def r_alpha(self) -> float:
@@ -97,9 +96,7 @@ def _tail_half(x: float) -> float:
 
 def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
     """BFDR of the fixed-threshold rule at c^2; 1-p at c^2 = 0, -> 0 as c^2 -> inf."""
-    c_sq_f = float(c_sq)
-    if math.isnan(c_sq_f) or c_sq_f < 0.0:
-        raise ParameterError("c_sq must be >= 0")
+    c_sq_f = _c_sq(c_sq)
     p = model.p
     if math.isinf(c_sq_f):
         return 0.0
@@ -238,6 +235,15 @@ def _bisect_decreasing(fn, target: float, hi_start: float, near=None) -> float:
     raise ParameterError("bisection failed to reach the 1e-11 level tolerance")
 
 
+def _hi_start(model: MixtureModel) -> float:
+    """The bisection's first upper end on the |Z| scale, sized from the
+    delta-free composite u f^2: generous by construction, and grown
+    geometrically if even that is too small."""
+    u = model.u
+    log_v1 = math.log(u) + 2.0 * math.log(model.f)
+    return math.sqrt(4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0))
+
+
 def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     """The unique c^2 with BFDR(c^2) = alpha, for alpha in (0, 1-p).
 
@@ -253,10 +259,6 @@ def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
             supremum=supremum,
         )
     u = model.u
-    # Initial bracket sized from the delta-free composite u f^2; generous by
-    # construction, then grown geometrically if even that is too small.
-    log_v1 = math.log(u) + 2.0 * math.log(model.f)
-    hi_sq = 4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0)
     alpha, p = level.alpha, model.p
     # BFDR odds alpha/(1-alpha) = ((1-p)/p) (1-Phi(c)) / (1-Phi(c/s)).
     near = _root_bracket(
@@ -264,7 +266,7 @@ def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
         math.log(alpha) - math.log1p(-alpha) + math.log(p) - math.log1p(-p),
         1.0 - alpha,
     )
-    c = _bisect_decreasing(lambda z: bfdr_of_threshold(model, z * z), alpha, math.sqrt(hi_sq), near)
+    c = _bisect_decreasing(lambda z: bfdr_of_threshold(model, z * z), alpha, _hi_start(model), near)
     return ThresholdSq(c * c)
 
 
@@ -293,8 +295,6 @@ def gw_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     fact rather than an implementation artifact.
     """
     u = model.u
-    log_v1 = math.log(u) + 2.0 * math.log(model.f)
-    hi_sq = 4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0)
     alpha, p = level.alpha, model.p
     # (1-Phi(c)) / ((1-p)(1-Phi(c)) + p(1-Phi(c/s))) = alpha, solved for the tail ratio.
     near = _root_bracket(
@@ -302,16 +302,14 @@ def gw_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
         math.log(alpha) + math.log(p) - math.log1p(-alpha * (1.0 - p)),
         1.0 - alpha * (1.0 - p),
     )
-    c = _bisect_decreasing(lambda z: _gw_value(model, z), alpha, math.sqrt(hi_sq), near)
+    c = _bisect_decreasing(lambda z: _gw_value(model, z), alpha, _hi_start(model), near)
     return ThresholdSq(c * c)
 
 
 def bfdr_threshold_asymptotic(f: float, level: BfdrLevel, consts: AsymptoticConstants) -> ThresholdSq:
     """Expansion of the BFDR threshold for f/r_alpha -> inf:
     2 log(f/r_alpha) - log(2 log(f/r_alpha)) + log(2/(pi D^2))."""
-    if not (math.isfinite(f) and f > 0.0):
-        raise ParameterError("f must be a finite positive real")
-    big_l = math.log(f) - math.log(level.r_alpha)
+    big_l = math.log(_positive(f, "f")) - math.log(level.r_alpha)
     if big_l <= 1.0:
         raise ParameterError("asymptotic BFDR threshold requires f/r_alpha > e")
     c_sq = 2.0 * big_l - math.log(2.0 * big_l) + math.log(2.0 / (math.pi * consts.D * consts.D))
@@ -330,7 +328,7 @@ def oracle_bfdr_asymptotic_finite(consts: AsymptoticConstants, c1: float) -> flo
     """Limit of the oracle's BFDR when t_uvd -> C1 finite:
     1 / (1 + sqrt(pi/2) e^{C/2} D C1).  The regime (diverging vs finite
     t_uvd) is the caller's knowledge, hence the explicit C1 argument."""
-    if not (math.isfinite(c1) and c1 >= 0.0):
+    if not 0.0 <= c1 <= _MAX:
         raise ParameterError("C1 must be finite and >= 0")
     return 1.0 / (1.0 + math.sqrt(math.pi / 2.0) * math.exp(consts.C / 2.0) * consts.D * c1)
 

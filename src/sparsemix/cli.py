@@ -69,7 +69,7 @@ from .model import Losses, MixtureModel, TestingSetting, ThresholdSq, oracle_thr
 from .montecarlo import STREAM, mc_run
 from .procedures import replicate_threshold, universal_threshold, bonferroni_threshold
 from .risk import fixed_threshold_risk
-from .rules import _BY_KIND, BhRule, fill_rule, rule_from_config, rule_to_config
+from .rules import _BY_KIND, fill_rule, is_fixed_threshold, rule_from_config, rule_to_config
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -263,8 +263,8 @@ def _build_rule(cfg: dict, args, base=None):
 
 
 def _grid_field(cfg: dict, prefix: str = ""):
-    """cfg["grid"] checked to be a nonempty array of numbers; absent or null
-    gives None."""
+    """cfg["grid"] checked to be a nonempty array of numbers, as floats;
+    absent or null gives None."""
     grid = cfg.get("grid")
     if grid is None:
         return None
@@ -272,7 +272,10 @@ def _grid_field(cfg: dict, prefix: str = ""):
         isinstance(value, bool) or not isinstance(value, (int, float)) for value in grid
     ):
         raise ConfigError(prefix + "grid", "must be a nonempty array of numbers")
-    return grid
+    try:
+        return [float(value) for value in grid]
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(prefix + "grid", "must hold numbers within the float range") from None
 
 
 def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
@@ -486,7 +489,7 @@ def cmd_convergence(args) -> int:
     _at_most("grid", len(regime.t_grid), MAX_GRID_POINTS, "points")
     mode = _flag_or_field(args, cfg, "mode", str)
     if mode is None:
-        mode = "mc" if isinstance(rule, BhRule) else "exact"
+        mode = "exact" if is_fixed_threshold(rule) else "mc"
     if mode == "mc":
         _at_most("grid", max(point.m for point in regime.points()), MAX_M, "tests per point")
         mc, out = _run_options(cfg, args, 400, echo)
@@ -521,6 +524,14 @@ def _add_setting_flags(par) -> None:
     par.add_argument("--delta", type=float, help="loss ratio delta0/deltaA (deltaA=1)")
     par.add_argument("--delta0", type=float, help="false-rejection loss")
     par.add_argument("--deltaA", dest="deltaA", type=float, help="missed-signal loss")
+
+
+def _add_rule_flags(par) -> None:
+    par.add_argument("--rule", choices=tuple(_BY_KIND), help="rule kind (overrides a preset's rule)")
+    par.add_argument("--alpha", type=float, help="level for level-based rules")
+    par.add_argument("--c-sq", dest="c_sq", type=float, help="threshold for --rule fixed")
+    par.add_argument("--d", type=float, help="offset for universal/replicate rules")
+    par.add_argument("--n", type=float, help="replicates per test for the replicate rule")
 
 
 def _add_mc_flags(par, default_reps: int) -> None:
@@ -576,11 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
     _add_setting_flags(par)
     par.add_argument("--m", type=float, help="number of tests (integer)")
-    par.add_argument("--rule", choices=tuple(_BY_KIND), help="rule kind (when not using a preset)")
-    par.add_argument("--alpha", type=float, help="level for level-based rules")
-    par.add_argument("--c-sq", dest="c_sq", type=float, help="threshold for --rule fixed")
-    par.add_argument("--d", type=float, help="offset for universal/replicate rules")
-    par.add_argument("--n", type=float, help="replicates per test for the replicate rule")
+    _add_rule_flags(par)
     _add_mc_flags(par, 1000)
     par.add_argument("--config", help="JSON config file")
     par.add_argument("--out", help="CSV output path (default: stdout)")
@@ -588,11 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     par = sub.add_parser("convergence", help="risk-ratio table along a regime")
     par.add_argument("--preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
-    par.add_argument("--rule", choices=tuple(_BY_KIND), help="override the preset's rule")
-    par.add_argument("--alpha", type=float, help="level override for level-based rules")
-    par.add_argument("--c-sq", dest="c_sq", type=float, help="threshold for --rule fixed")
-    par.add_argument("--d", type=float, help="offset for universal/replicate rules")
-    par.add_argument("--n", type=float, help="replicates per test for the replicate rule")
+    _add_rule_flags(par)
     par.add_argument("--mode", choices=("exact", "mc"), help="risk engine (default by rule)")
     par.add_argument("--grid", type=_grid_arg, help="comma-separated m grid, e.g. 1e2,1e4,1e6")
     _add_mc_flags(par, 400)

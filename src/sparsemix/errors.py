@@ -1,7 +1,17 @@
-"""Exception types shared across the package, and its one config reader,
-which reads a config object as the parameters of the callable it builds."""
+"""Exception types shared across the package, its one check per scalar
+quantity, and its one config reader.
+
+The checks decide what a valid level, positive real, count, squared
+threshold or finite real is, for every module.  Each compares first, so
+nan, an infinity and a Python int beyond the float range all fail the
+comparison, and each raises ParameterError naming the value, formatted
+only then.  The config reader reads a config object as the parameters of
+the callable it builds.
+"""
 
 import inspect
+import math
+import sys
 from functools import cache
 
 __all__ = ["ParameterError", "LevelError", "ConfigError"]
@@ -29,6 +39,45 @@ class ConfigError(ParameterError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+_MAX = sys.float_info.max
+
+
+def _level(value, name: str = "alpha") -> float:
+    """value as a float, checked to lie in (0,1)."""
+    if 0.0 < value < 1.0:
+        return float(value)
+    raise ParameterError(f"{name} must lie in (0,1), got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """value as a float, checked to be a finite real > 0."""
+    if 0.0 < value <= _MAX:
+        return float(value)
+    raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
+
+
+def _at_least_one(value, name: str = "m") -> float:
+    """value as a float, checked to be a finite real >= 1."""
+    if 1.0 <= value <= _MAX:
+        return float(value)
+    raise ParameterError(f"{name} must be >= 1, got {value!r}")
+
+
+def _c_sq(value, name: str = "c_sq") -> float:
+    """value as a float, checked to be a squared threshold: a real >= 0,
+    or +inf for "reject nothing"."""
+    if 0.0 <= value <= _MAX or value == math.inf:
+        return float(value)
+    raise ParameterError(f"{name} must be >= 0, got {value!r}")
+
+
+def _finite(value, name: str) -> float:
+    """value as a float, checked to be a finite real."""
+    if -_MAX <= value <= _MAX:
+        return float(value)
+    raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
 def _reject_unknown(cfg: dict, allowed, prefix: str = "") -> None:

@@ -26,10 +26,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .bfdr import BfdrDiagnostics, BfdrLevel, bfdr_optimality_diagnostics
-from .errors import ConfigError, ParameterError, call_with_fields
+from .errors import _MAX, ConfigError, ParameterError, _finite, _level, _positive, call_with_fields
 from .model import (
     AsymptoticConstants,
     DerivedParams,
@@ -91,10 +89,9 @@ class PowerSparsity:
     a: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.kappa) and 0.0 < self.kappa <= 1.0):
+        if not 0.0 < self.kappa <= 1.0:
             raise ParameterError("kappa must lie in (0, 1]")
-        if not (np.isfinite(self.a) and self.a > 0.0):
-            raise ParameterError("a must be a finite positive real")
+        _positive(self.a, "a")
 
     def p(self, m: float) -> float:
         return self.a * m**-self.kappa
@@ -113,9 +110,8 @@ class ExtremeSparsity:
     log_exponent: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.s) and self.s > 0.0):
-            raise ParameterError("s must be a finite positive real")
-        if not (np.isfinite(self.log_exponent) and self.log_exponent >= 0.0):
+        _positive(self.s, "s")
+        if not 0.0 <= self.log_exponent <= _MAX:
             raise ParameterError("log_exponent must be >= 0")
 
     def p(self, m: float) -> float:
@@ -131,8 +127,7 @@ class ConstantDelta:
     value: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.value) and self.value > 0.0):
-            raise ParameterError("delta must be a finite positive real")
+        _positive(self.value, "delta")
 
     def delta(self, m: float) -> float:
         return self.value
@@ -145,8 +140,7 @@ class DecayingDelta:
     g: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.g) and self.g > 0.0):
-            raise ParameterError("g must be a finite positive real")
+        _positive(self.g, "g")
 
     def delta(self, m: float) -> float:
         return math.log(m) ** -self.g
@@ -178,8 +172,8 @@ class RegimePoint:
     def __post_init__(self):
         derived = DerivedParams(u=self.u, f=(1.0 - self.p) / self.p, delta=self.delta)
         object.__setattr__(self, "derived", derived)
-        if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise ParameterError("alpha must lie in (0,1)")
+        if self.alpha is not None:
+            _level(self.alpha)
 
     @property
     def c_finite(self) -> float:
@@ -202,9 +196,7 @@ def _schedule(rule, name: str) -> Callable[[float], float] | None:
         return None
     if callable(rule):
         return rule
-    value = float(rule)
-    if not np.isfinite(value):
-        raise ParameterError(f"{name} must be finite")
+    value = _finite(rule, name)
     return lambda m: value
 
 
@@ -224,8 +216,7 @@ def regime_verge(
     attached to each point for rules that take their level or replicate
     count from the regime.
     """
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise ParameterError("beta must be a finite positive real")
+    _positive(beta, "beta")
     if not isinstance(sparsity, tuple(_SPARSITIES.values())):
         raise ParameterError(
             "sparsity must be PowerSparsity or ExtremeSparsity, "
@@ -239,14 +230,17 @@ def regime_verge(
     alpha_fn = _schedule(alpha_rule, "alpha_rule")
     n_fn = _schedule(n_rule, "n_rule")
     consts = AsymptoticConstants(sparsity.c_numerator / beta)
-    grid = DEFAULT_EXACT_GRID if t_grid is None else tuple(float(t) for t in t_grid)
+    try:
+        grid = DEFAULT_EXACT_GRID if t_grid is None else tuple(float(t) for t in t_grid)
+    except OverflowError:  # an integer beyond the float range
+        raise ParameterError("t_grid must hold numbers within the float range") from None
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("t_grid must be strictly increasing")
 
     def generator(t: float) -> RegimePoint:
-        m = float(t)
-        if not (np.isfinite(m) and m > 1.0):
+        if not 1.0 < t <= _MAX:
             raise ParameterError("regime points need m > 1")
+        m = float(t)
         try:  # a power of log m, e.g. (log m)^log_exponent, can overflow
             p, delta = sparsity.p(m), delta_rule.delta(m)
         except OverflowError:
@@ -278,6 +272,11 @@ def point_setting(point: RegimePoint) -> TestingSetting:
 
 # ---------------------------------------------------------------------------
 # Presets: one named (regime, rule) pair per optimality statement family.
+
+
+def _inverse_log_level(s1):
+    """The level schedule alpha_m = min(s1 / log m, 1/2)."""
+    return lambda m: min(s1 / math.log(m), 0.5)
 
 
 def _preset_universal(s=1.0, beta=2.0, d=0.0):
@@ -331,7 +330,7 @@ def _preset_bfdr_fixed_delta(s1=1.0, kappa=0.5, beta=2.0):
         beta,
         PowerSparsity(kappa=kappa),
         ConstantDelta(),
-        alpha_rule=lambda m: min(s1 / math.log(m), 0.5),
+        alpha_rule=_inverse_log_level(s1),
         name="bfdr_fixed_delta",
     )
     return regime, BfdrRule()
@@ -347,34 +346,20 @@ def _preset_bonferroni_extreme(s=1.0, beta=2.0, s1=1.0):
         beta,
         ExtremeSparsity(s=s),
         ConstantDelta(),
-        alpha_rule=lambda m: min(s1 / math.log(m), 0.5),
+        alpha_rule=_inverse_log_level(s1),
         name="bonferroni_extreme",
     )
     return regime, BonferroniRule()
 
 
 def _preset_bh_fixed_alpha(alpha=0.1, kappa=0.5, beta=2.0, g=1.0):
-    regime = regime_verge(
-        beta,
-        PowerSparsity(kappa=kappa),
-        DecayingDelta(g=g),
-        alpha_rule=alpha,
-        t_grid=DEFAULT_MC_GRID,
-        name="bh_fixed_alpha",
-    )
-    return regime, BhRule()
+    regime, _ = _preset_bfdr_fixed_alpha(alpha=alpha, kappa=kappa, beta=beta, g=g)
+    return replace(regime, t_grid=DEFAULT_MC_GRID, name="bh_fixed_alpha"), BhRule()
 
 
 def _preset_bh_fixed_delta(s1=1.0, kappa=0.5, beta=2.0):
-    regime = regime_verge(
-        beta,
-        PowerSparsity(kappa=kappa),
-        ConstantDelta(),
-        alpha_rule=lambda m: min(s1 / math.log(m), 0.5),
-        t_grid=DEFAULT_MC_GRID,
-        name="bh_fixed_delta",
-    )
-    return regime, BhRule()
+    regime, _ = _preset_bfdr_fixed_delta(s1=s1, kappa=kappa, beta=beta)
+    return replace(regime, t_grid=DEFAULT_MC_GRID, name="bh_fixed_delta"), BhRule()
 
 
 def _preset_nonconforming_sublog(s=1.0, beta=2.0, coeff=-3.0):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError
+from .errors import _MAX, ParameterError, _at_least_one, _c_sq, _finite, _level, _positive
 from .normal import Phi_tail, _like
 
 __all__ = [
@@ -63,10 +63,7 @@ class ThresholdSq(float):
     __slots__ = ("degenerate",)
 
     def __new__(cls, value: float, degenerate: bool = False):
-        val = float(value)
-        if math.isnan(val) or val < 0.0:
-            raise ParameterError(f"threshold c^2 must be >= 0, got {value!r}")
-        obj = super().__new__(cls, val)
+        obj = super().__new__(cls, _c_sq(value, "threshold c^2"))
         obj.degenerate = bool(degenerate)
         return obj
 
@@ -89,13 +86,6 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _finite_pos(value: float, name: str) -> float:
-    val = float(value)
-    if not (math.isfinite(val) and val > 0.0):
-        raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
-    return val
-
-
 @dataclass(frozen=True)
 class MixtureModel:
     """Mixture parameters: signal weight p, null variance sigma^2 and the
@@ -106,10 +96,9 @@ class MixtureModel:
     tau_sq: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError(f"p must lie in (0,1), got {self.p!r}")
-        _finite_pos(self.sigma_sq, "sigma_sq")
-        _finite_pos(self.tau_sq, "tau_sq")
+        _level(self.p, "p")
+        _positive(self.sigma_sq, "sigma_sq")
+        _positive(self.tau_sq, "tau_sq")
 
     @property
     def sigma(self) -> float:
@@ -132,8 +121,8 @@ class Losses:
     deltaA: float
 
     def __post_init__(self):
-        _finite_pos(self.delta0, "delta0")
-        _finite_pos(self.deltaA, "deltaA")
+        _positive(self.delta0, "delta0")
+        _positive(self.deltaA, "deltaA")
 
     @property
     def delta(self) -> float:
@@ -153,9 +142,7 @@ class TestingSetting:
     m: float
 
     def __post_init__(self):
-        m = float(self.m)
-        if not (math.isfinite(m) and m >= 1.0):
-            raise ParameterError(f"m must be >= 1, got {self.m!r}")
+        _at_least_one(self.m)
 
     def int_m(self) -> int:
         mf = float(self.m)
@@ -177,9 +164,9 @@ class DerivedParams:
     log_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _finite_pos(self.u, "u")
-        _finite_pos(self.f, "f")
-        _finite_pos(self.delta, "delta")
+        _positive(self.u, "u")
+        _positive(self.f, "f")
+        _positive(self.delta, "delta")
         v = self.u * self.f * self.f * self.delta * self.delta
         _require(v > 0.0, "v = u * f^2 * delta^2 underflows to 0")
         object.__setattr__(self, "v", v)
@@ -213,8 +200,8 @@ class AsymptoticConstants:
     C: float
 
     def __post_init__(self):
+        _require(0.0 <= self.C <= _MAX, "C must be finite and >= 0")
         object.__setattr__(self, "C", float(self.C))
-        _require(math.isfinite(self.C) and self.C >= 0.0, "C must be finite and >= 0")
         _require(self.D > 0.0, "D = 2(1 - Phi(sqrt(C))) underflows to 0")
 
     @property
@@ -237,15 +224,10 @@ def oracle_threshold_sq(u: float, v: float | None = None, *, log_v: float | None
     ``log_v`` may be supplied instead of v when v itself would overflow
     (extreme sparsity); exactly one of the two must be given.
     """
-    uf = _finite_pos(u, "u")
+    uf = _positive(u, "u")
     if (v is None) == (log_v is None):
         raise ParameterError("supply exactly one of v or log_v")
-    if log_v is None:
-        vf = _finite_pos(v, "v")
-        lv = math.log(vf)
-    else:
-        lv = float(log_v)
-        _require(math.isfinite(lv), "log_v must be finite")
+    lv = math.log(_positive(v, "v")) if log_v is None else _finite(log_v, "log_v")
     a = 1.0 + 1.0 / uf
     c_sq = a * (lv + math.log(a))
     if c_sq < 0.0:
@@ -283,10 +265,7 @@ def type1_exact(c_sq) -> float:
     that must keep their bits stay on one path.
     """
     if isinstance(c_sq, (float, int, ThresholdSq)):
-        value = float(c_sq)
-        if math.isnan(value) or value < 0.0:
-            raise ParameterError("c_sq must be >= 0")
-        return math.erfc(math.sqrt(value / 2.0))
+        return math.erfc(math.sqrt(_c_sq(c_sq) / 2.0))
     arr = _checked_c_sq(c_sq)
     return _like(special.erfc(np.sqrt(arr / 2.0)), c_sq)
 
@@ -299,12 +278,9 @@ def type2_exact(c_sq, u: float) -> float:
     scipy.special.erf, which differ in the last bits (609 of the same 2000
     c^2 at u = 4, by at most 3.9e-16 relative).
     """
-    uf = _finite_pos(u, "u")
+    uf = _positive(u, "u")
     if isinstance(c_sq, (float, int, ThresholdSq)):
-        value = float(c_sq)
-        if math.isnan(value) or value < 0.0:
-            raise ParameterError("c_sq must be >= 0")
-        return math.erf(math.sqrt(value / (2.0 * (uf + 1.0))))
+        return math.erf(math.sqrt(_c_sq(c_sq) / (2.0 * (uf + 1.0))))
     arr = _checked_c_sq(c_sq)
     return _like(special.erf(np.sqrt(arr / (2.0 * (uf + 1.0)))), c_sq)
 
@@ -317,7 +293,7 @@ def error_rates(c_sq, u: float) -> ErrorRates:
 def type1_asymptotic(v: float, consts: AsymptoticConstants) -> float:
     """Leading term of the type I error at the oracle threshold:
     e^{-C/2} sqrt(2 / (pi v log v)).  Requires v > 1."""
-    vf = _finite_pos(v, "v")
+    vf = _positive(v, "v")
     _require(vf > 1.0, "type1_asymptotic requires v > 1")
     return math.exp(-consts.C / 2.0) * math.sqrt(2.0 / (math.pi * vf * math.log(vf)))
 
@@ -328,10 +304,10 @@ def type2_asymptotic(u: float, v: float, consts: AsymptoticConstants) -> float:
     C > 0: the constant 2 Phi(sqrt(C)) - 1.  C = 0: sqrt(2 log v / (pi u)),
     which requires v > 1.
     """
-    uf = _finite_pos(u, "u")
+    uf = _positive(u, "u")
     if consts.C > 0.0:
         return float(special.erf(math.sqrt(consts.C) / math.sqrt(2.0)))
-    vf = _finite_pos(v, "v")
+    vf = _positive(v, "v")
     _require(vf > 1.0, "type2_asymptotic with C = 0 requires v > 1")
     return math.sqrt(2.0 * math.log(vf) / (math.pi * uf))
 

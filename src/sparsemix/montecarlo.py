@@ -80,7 +80,7 @@ import numpy as np
 from scipy import special
 
 from .bfdr import BfdrLevel, gw_threshold
-from .errors import ParameterError
+from .errors import _MAX, ParameterError, _level
 from .model import TestingSetting
 from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
 from .procedures import ConfusionCounts, _critical_pvalue, _step_up_threshold, bonferroni_threshold
@@ -121,7 +121,7 @@ class McEstimate:
     def __post_init__(self):
         if not (isinstance(self.reps, (int, np.integer)) and self.reps >= 1):
             raise ParameterError("reps must be a positive integer")
-        if not (np.isfinite(self.std_error) and self.std_error >= 0.0):
+        if not 0.0 <= self.std_error <= _MAX:
             raise ParameterError("std_error must be >= 0")
 
     @classmethod
@@ -399,7 +399,7 @@ def threshold_gap_study(
     It draws the same replicates as mc_run with BhRule(alpha).
     """
     reps = _check_reps(reps)
-    if not (epsilon > 0.0) or math.isnan(epsilon):
+    if not (0.0 < epsilon <= _MAX or epsilon == math.inf):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
     rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
     gaps = _replicates(setting, rule, reps, seed, workers)[-1]
@@ -413,8 +413,7 @@ def threshold_gap_study(
 def bh_conditional_ev_bound(alpha: float, k) -> float:
     """Upper bound alpha (k/(1-alpha) + 1/(1-alpha)^2) on E(V | K = k) for the
     step-up procedure under independence; valid for k < m (1/alpha_0 - 1)."""
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError("alpha must lie in (0,1)")
+    _level(alpha)
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ParameterError("k must be a nonnegative integer")
     return alpha * (k / (1.0 - alpha) + 1.0 / (1.0 - alpha) ** 2)
@@ -426,7 +425,7 @@ def bh_ev_constant(s: float, alpha_inf: float) -> float:
     constant eventually bounds E(V).  s = +inf drops the additive term."""
     if not (0.0 <= alpha_inf < 1.0):
         raise ParameterError("alpha_inf must lie in [0,1)")
-    if math.isnan(s) or s <= 0.0:
+    if not (0.0 < s <= _MAX or s == math.inf):
         raise ParameterError("s must be positive (inf allowed)")
     base = (2.0 - alpha_inf) / (1.0 - alpha_inf) ** 2
     if math.isinf(s):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError
+from .errors import ParameterError, _positive
 
 __all__ = [
     "phi",
@@ -141,9 +141,7 @@ class TailApprox:
 
 def normal_tail_approx(c: float) -> TailApprox:
     """Mills-ratio approximation of the two-sided tail at c > 0."""
-    cf = float(c)
-    if not math.isfinite(cf) or cf <= 0.0:
-        raise ParameterError("c must be a finite positive real")
+    cf = _positive(c, "c")
     return TailApprox(
         approx=2.0 * float(phi(cf)) / cf,
         correction_bound=cf * cf / (cf * cf + 1.0),

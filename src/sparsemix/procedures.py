@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError
+from .errors import ParameterError, _at_least_one, _finite, _level, _positive
 from .model import Losses, ThresholdSq
 from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
 
@@ -104,7 +104,7 @@ def pvalues(x, sigma: float) -> np.ndarray:
     # NaN and inf both make the max non-finite; an empty array has no max.
     if mag.size and not np.isfinite(mag.max()):
         raise ParameterError("x must be finite")
-    _check_sigma(sigma)
+    _positive(sigma, "sigma")
     # In place for an array; a 0-d x gives a numpy scalar, divided anew.
     mag /= sigma * _SQRT2
     return special.erfc(mag)
@@ -114,24 +114,6 @@ def _check_finite(arr: np.ndarray) -> None:
     # min and max propagate NaN, and an infinity is one of them.
     if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ParameterError("x must be finite")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError("sigma must be a finite positive real")
-
-
-def _check_level(alpha: float) -> float:
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0,1), got {alpha!r}")
-    return float(alpha)
-
-
-def _check_m(m, name: str = "m") -> float:
-    mf = float(m)
-    if not (math.isfinite(mf) and mf >= 1.0):
-        raise ParameterError(f"{name} must be a real >= 1")
-    return mf
 
 
 def _last_crossing(ordered: np.ndarray, alpha: float, m: int) -> float | None:
@@ -186,7 +168,7 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     index with p_(i) <= i alpha / m; rejects nothing when no index
     qualifies.
     """
-    alpha = _check_level(alpha)
+    alpha = _level(alpha)
     arr = np.asarray(pvals, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("pvals must be a nonempty 1-d array")
@@ -207,15 +189,15 @@ def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
     """Reject H_i exactly when x_i^2 / sigma^2 >= c^2 (ties rejected)."""
     arr = np.asarray(x, dtype=float)
     _check_finite(arr)
-    _check_sigma(sigma)
-    c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(float(c_sq))
+    _positive(sigma, "sigma")
+    c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(c_sq)
     return RejectionResult(rejected=np.square(arr / sigma) >= float(c_sq), realized_threshold_sq=c_sq)
 
 
 def bonferroni_threshold(m, alpha: float) -> ThresholdSq:
     """c^2 = (Phi^{-1}(1 - alpha/(2m)))^2, or 0 when alpha/(2m) >= 1/2."""
-    mf = _check_m(m)
-    alpha = _check_level(alpha)
+    mf = _at_least_one(m)
+    alpha = _level(alpha)
     q = alpha / (2.0 * mf)
     if q >= 0.5:
         return ThresholdSq(0.0)
@@ -226,8 +208,8 @@ def bonferroni_threshold(m, alpha: float) -> ThresholdSq:
 def bonferroni_threshold_asymptotic(m, alpha: float) -> ThresholdSq:
     """Expansion 2 log(m/alpha) - log(2 log(m/alpha)) + log(2/pi) of the
     Bonferroni threshold for m/alpha -> inf; requires m/alpha > e."""
-    mf = _check_m(m)
-    alpha = _check_level(alpha)
+    mf = _at_least_one(m)
+    alpha = _level(alpha)
     big_l = math.log(mf) - math.log(alpha)
     if big_l <= 1.0:
         raise ParameterError("asymptotic Bonferroni threshold requires m/alpha > e")
@@ -236,18 +218,16 @@ def bonferroni_threshold_asymptotic(m, alpha: float) -> ThresholdSq:
 
 def universal_threshold(m, d: float = 0.0) -> ThresholdSq:
     """c^2 = 2 log m + d, floored at 0."""
-    mf = _check_m(m)
-    if not np.isfinite(d):
-        raise ParameterError("d must be finite")
+    mf = _at_least_one(m)
+    _finite(d, "d")
     return ThresholdSq(max(2.0 * math.log(mf) + d, 0.0))
 
 
 def replicate_threshold(m, n, d: float = 0.0) -> ThresholdSq:
     """c^2 = log n + 2 log m + d for n-replicate designs, floored at 0."""
-    mf = _check_m(m)
-    nf = _check_m(n, name="n")
-    if not np.isfinite(d):
-        raise ParameterError("d must be finite")
+    mf = _at_least_one(m)
+    nf = _at_least_one(n, "n")
+    _finite(d, "d")
     return ThresholdSq(max(math.log(nf) + 2.0 * math.log(mf) + d, 0.0))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import _MAX, ParameterError, _c_sq
 from .model import (
     AsymptoticConstants,
     DerivedParams,
@@ -125,16 +125,14 @@ def optimality_diagnostics(c_sq, v: float | None = None, *, log_v: float | None 
     if (v is None) == (log_v is None):
         raise ParameterError("supply exactly one of v or log_v")
     if log_v is None:
-        if not (math.isfinite(float(v)) and float(v) > 1.0):
+        if not 1.0 < v <= _MAX:
             raise ParameterError("optimality_diagnostics requires v > 1")
         lv = math.log(float(v))
     else:
-        lv = float(log_v)
-        if not (math.isfinite(lv) and lv > 0.0):
+        if not 0.0 < log_v <= _MAX:
             raise ParameterError("optimality_diagnostics requires log v > 0")
-    c = float(c_sq)
-    if math.isnan(c) or c < 0.0:
-        raise ParameterError("c_sq must be >= 0")
+        lv = float(log_v)
+    c = _c_sq(c_sq)
     z_t = c - lv
     crit2 = z_t + 2.0 * math.log(lv) if lv > 1.0 else -math.inf
     return OptimalityDiagnostics(z_t=z_t, ratio1=z_t / lv, crit2=crit2)

@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bfdr import BfdrLevel, bfdr_threshold, gw_threshold
-from .errors import ConfigError, ParameterError, call_by_tag
+from .errors import ConfigError, ParameterError, _c_sq, _finite, _level, call_by_tag
 from .model import TestingSetting, ThresholdSq, derive, oracle_threshold_sq
 from .procedures import (
     RejectionResult,
@@ -52,11 +50,6 @@ __all__ = [
 ]
 
 
-def _check_optional_level(alpha) -> None:
-    if alpha is not None and not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0,1), got {alpha!r}")
-
-
 @dataclass(frozen=True)
 class FixedThresholdRule:
     """Reject when X^2/sigma^2 >= c_sq, for a caller-chosen constant."""
@@ -64,7 +57,7 @@ class FixedThresholdRule:
     c_sq: float
 
     def __post_init__(self):
-        ThresholdSq(float(self.c_sq))
+        _c_sq(self.c_sq)
 
 
 @dataclass(frozen=True)
@@ -88,31 +81,29 @@ class ReplicateRule:
 
 
 @dataclass(frozen=True)
-class BonferroniRule:
+class _LevelRule:
+    """A rule at level alpha, which a regime may supply later."""
+
     alpha: float | None = None
 
     def __post_init__(self):
-        _check_optional_level(self.alpha)
+        if self.alpha is not None:
+            _level(self.alpha)
 
 
 @dataclass(frozen=True)
-class BfdrRule:
+class BonferroniRule(_LevelRule):
+    """c^2 = (Phi^{-1}(1 - alpha/(2m)))^2."""
+
+
+@dataclass(frozen=True)
+class BfdrRule(_LevelRule):
     """Threshold chosen so the rule's Bayesian FDR equals alpha."""
 
-    alpha: float | None = None
-
-    def __post_init__(self):
-        _check_optional_level(self.alpha)
-
 
 @dataclass(frozen=True)
-class GwRule:
+class GwRule(_LevelRule):
     """Threshold solving the fixed-point equation the step-up rule tracks."""
-
-    alpha: float | None = None
-
-    def __post_init__(self):
-        _check_optional_level(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -128,18 +119,13 @@ class LogVRule:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.loglog_coeff) and np.isfinite(self.offset)):
-            raise ParameterError("loglog_coeff and offset must be finite")
+        _finite(self.loglog_coeff, "loglog_coeff")
+        _finite(self.offset, "offset")
 
 
 @dataclass(frozen=True)
-class BhRule:
+class BhRule(_LevelRule):
     """Step-up procedure at level alpha; data-dependent threshold."""
-
-    alpha: float | None = None
-
-    def __post_init__(self):
-        _check_optional_level(self.alpha)
 
 
 Rule = (
@@ -184,9 +170,8 @@ def _kind_of(rule: Rule) -> str:
 def fill_rule(rule: Rule, *, alpha: float | None = None, n: float | None = None) -> Rule:
     """Complete a template rule with per-point alpha and/or n; set fields win."""
     _kind_of(rule)
-    if isinstance(rule, (BonferroniRule, BfdrRule, GwRule, BhRule)) and rule.alpha is None:
-        if alpha is not None:
-            rule = replace(rule, alpha=alpha)
+    if isinstance(rule, _LevelRule) and rule.alpha is None and alpha is not None:
+        rule = replace(rule, alpha=alpha)
     if isinstance(rule, ReplicateRule) and rule.n is None and n is not None:
         rule = replace(rule, n=n)
     return rule

@@ -617,6 +617,19 @@ def test_a_family_that_overflows_is_a_domain_error(tmp_path, capsys, family):
     assert err.startswith("error: the regime's sparsity or delta overflows at m = ")
 
 
+@pytest.mark.parametrize("config, path", [
+    ({"preset": "lemma_universal", "grid": [100, 10**400]}, "grid"),
+    ({"regime": {"beta": 2.0, "sparsity": {"family": "extreme"}, "grid": [100, 10**400]},
+      "rule": {"kind": "oracle"}}, "regime.grid"),
+])
+def test_a_grid_beyond_the_float_range_is_a_config_error(tmp_path, capsys, config, path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"config error: {path}: must hold numbers within the float range"
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -45,3 +45,21 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_modules_use_every_name_they_import():
     assert [bad for path in sorted(SRC.glob("*.py")) for bad in _unused_imports(path)] == []
+
+
+# Fragments of the one message of each checked quantity; ", got" keeps
+# unrelated texts such as "worker count must be >= 1" apart.
+_CHECK_MESSAGES = ("must lie in (0,1), got", "must be a finite positive real", "must be >= 1, got")
+
+
+def test_scalar_checks_live_only_in_errors():
+    """A level, positive real or count is checked by its helper in errors.py,
+    never by a copy of it in another module."""
+    copies = [
+        f"{path.name}: {fragment}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "errors.py"
+        for fragment in _CHECK_MESSAGES
+        if fragment in path.read_text()
+    ]
+    assert copies == []

@@ -49,7 +49,7 @@ def reference_pvalues(x, sigma):
     if arr.size and not np.all(np.isfinite(arr)):
         raise ParameterError("x must be finite")
     if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError("sigma must be a finite positive real")
+        raise ParameterError(f"sigma must be a finite positive real, got {sigma!r}")
     return special.erfc(np.abs(arr) / (sigma * math.sqrt(2.0)))
 
 
@@ -295,7 +295,7 @@ def reference_fixed(x, sigma, c_sq):
     if arr.size and not np.all(np.isfinite(arr)):
         raise ParameterError("x must be finite")
     if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError("sigma must be a finite positive real")
+        raise ParameterError(f"sigma must be a finite positive real, got {sigma!r}")
     return (arr / sigma) ** 2 >= float(c_sq)
 
 
