@@ -338,25 +338,38 @@ def _output(cfg: dict, args, echo: dict) -> str | None:
 # Subcommands.
 
 
+def _alpha(args) -> BfdrLevel:
+    if args.alpha is None:
+        args.parser.error("--alpha is required for this rule")
+    return BfdrLevel(args.alpha)
+
+
+def _n(args) -> float:
+    if args.n is None:
+        args.parser.error("--n is required for the replicate rule")
+    return args.n
+
+
 _MIXTURE_KEYS = ("p", "u", "tau_sq", "sigma_sq")
-# The flags each threshold rule reads, in the order the rules print.
-_THRESHOLD_READS = {
-    "oracle": (*_MIXTURE_KEYS, "delta", "delta0", "deltaA"),
-    "bfdr": (*_MIXTURE_KEYS, "alpha"),
-    "gw": (*_MIXTURE_KEYS, "alpha"),
-    "bonferroni": ("m", "alpha"),
-    "universal": ("m", "d"),
-    "replicate": ("m", "n", "d"),
+# Each threshold rule, in the order the rules print: the flags it reads, and
+# its c^2 from the setting s, m, d and the flags.
+_THRESHOLDS = {
+    "oracle": ((*_MIXTURE_KEYS, "delta", "delta0", "deltaA"),
+               lambda s, m, d, args: oracle_threshold_sq_raw(s.model, s.losses)),
+    "bfdr": ((*_MIXTURE_KEYS, "alpha"), lambda s, m, d, args: bfdr_threshold(s.model, _alpha(args))),
+    "gw": ((*_MIXTURE_KEYS, "alpha"), lambda s, m, d, args: gw_threshold(s.model, _alpha(args))),
+    "bonferroni": (("m", "alpha"), lambda s, m, d, args: bonferroni_threshold(m, _alpha(args).alpha)),
+    "universal": (("m", "d"), lambda s, m, d, args: universal_threshold(m, d)),
+    "replicate": (("m", "n", "d"), lambda s, m, d, args: replicate_threshold(m, _n(args), d)),
 }
 
 
 def cmd_threshold(args) -> int:
-    par = args.parser
-    selected = [name for name in _THRESHOLD_READS if getattr(args, name)]
+    selected = [name for name in _THRESHOLDS if getattr(args, name)]
     if not selected:
-        par.error("select at least one rule "
-                  "(--oracle/--bfdr/--gw/--bonferroni/--universal/--replicate)")
-    read = {key for name in selected for key in _THRESHOLD_READS[name]}
+        args.parser.error("select at least one rule "
+                          "(--oracle/--bfdr/--gw/--bonferroni/--universal/--replicate)")
+    read = {key for name in selected for key in _THRESHOLDS[name][0]}
     echo = []
     for attr in (*_SETTING_KEYS, "alpha", "n", "d"):
         value = getattr(args, attr)
@@ -368,33 +381,11 @@ def cmd_threshold(args) -> int:
         echo.append(f"{attr}={_show(value)}")
     print(" ".join(echo) if echo else "(defaults)")
     # Only the mixture-based rules need a setting; the others need only m.
-    if {"oracle", "bfdr", "gw"}.intersection(selected):
-        setting = call_with_fields(_setting, _overlay_flags({}, args, _SETTING_KEYS), "setting.")
+    setting = (call_with_fields(_setting, _overlay_flags({}, args, _SETTING_KEYS), "setting.")
+               if "p" in read else None)
     m = 1.0 if args.m is None else args.m
     d = 0.0 if args.d is None else args.d
-
-    def need_alpha() -> BfdrLevel:
-        if args.alpha is None:
-            par.error("--alpha is required for this rule")
-        return BfdrLevel(args.alpha)
-
-    results = []
-    for name in selected:
-        if name == "oracle":
-            c_sq = oracle_threshold_sq_raw(setting.model, setting.losses)
-        elif name == "bfdr":
-            c_sq = bfdr_threshold(setting.model, need_alpha())
-        elif name == "gw":
-            c_sq = gw_threshold(setting.model, need_alpha())
-        elif name == "bonferroni":
-            c_sq = bonferroni_threshold(m, need_alpha().alpha)
-        elif name == "universal":
-            c_sq = universal_threshold(m, d)
-        else:
-            if args.n is None:
-                par.error("--n is required for the replicate rule")
-            c_sq = replicate_threshold(m, args.n, d)
-        results.append((name, c_sq))
+    results = [(name, _THRESHOLDS[name][1](setting, m, d, args)) for name in selected]
     for name, c_sq in results:
         print(f"{name:<11} c_sq={_show(float(c_sq))}  z={_show(c_sq.z)}")
     return 0
@@ -484,8 +475,8 @@ def cmd_convergence(args) -> int:
         raise ConfigError("regime", "not used with a preset")
     grid = args.grid if args.grid is not None else _grid_field(cfg)
     if grid is not None:
-        regime = replace(regime, t_grid=tuple(float(g) for g in grid))
-        echo["grid"] = [float(g) for g in grid]
+        regime = replace(regime, t_grid=grid)
+        echo["grid"] = list(regime.t_grid)
     _at_most("grid", len(regime.t_grid), MAX_GRID_POINTS, "points")
     mode = _flag_or_field(args, cfg, "mode", str)
     if mode is None:

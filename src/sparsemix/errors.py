@@ -1,18 +1,23 @@
-"""Exception types shared across the package, its one check per scalar
-quantity, and its one config reader.
+"""Exception types shared across the package, its one check per quantity,
+and its one config reader.
 
-The checks decide what a valid level, positive real, count, squared
-threshold or finite real is, for every module.  Each compares first, so
-nan, an infinity and a Python int beyond the float range all fail the
-comparison, and each raises ParameterError naming the value, formatted
-only then.  The config reader reads a config object as the parameters of
-the callable it builds.
+The checks decide what a valid level, positive real, real >= 1, squared
+threshold, finite real, integer count or finite array is, for every
+module.  Each scalar check compares first, so nan, an infinity and a
+Python int beyond the float range all fail the comparison, and each
+raises ParameterError naming the value, formatted only then.  A count
+must pass operator.index and not be a bool, so 2.0 and True are not
+counts.  The array checks test every element of a float array.  The
+config reader reads a config object as the parameters of what it builds.
 """
 
 import inspect
 import math
+import operator
 import sys
 from functools import cache
+
+import numpy as np
 
 __all__ = ["ParameterError", "LevelError", "ConfigError"]
 
@@ -73,11 +78,40 @@ def _c_sq(value, name: str = "c_sq") -> float:
     raise ParameterError(f"{name} must be >= 0, got {value!r}")
 
 
+def _c_sq_array(value) -> np.ndarray:
+    """value as a float array of squared thresholds (+inf allowed)."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(arr >= 0.0):  # nan fails the comparison
+        raise ParameterError("c_sq must be >= 0")
+    return arr
+
+
 def _finite(value, name: str) -> float:
     """value as a float, checked to be a finite real."""
     if -_MAX <= value <= _MAX:
         return float(value)
     raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _finite_array(value, name: str) -> np.ndarray:
+    """value as a float array, checked to hold only finite reals."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite")
+    return arr
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """value as an int, checked to be a Python or numpy integer >= least."""
+    if type(value) is not bool:  # bool cannot be subclassed
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= least:
+                return count
+    raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _reject_unknown(cfg: dict, allowed, prefix: str = "") -> None:

@@ -186,6 +186,15 @@ class Regime:
     generator: Callable[[float], RegimePoint]
     t_grid: tuple[float, ...]
 
+    def __post_init__(self):
+        try:
+            grid = tuple(float(t) for t in self.t_grid)
+        except OverflowError:  # an integer beyond the float range
+            raise ParameterError("t_grid must hold numbers within the float range") from None
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ParameterError("t_grid must be strictly increasing")
+        object.__setattr__(self, "t_grid", grid)
+
     def points(self) -> list[RegimePoint]:
         return [self.generator(t) for t in self.t_grid]
 
@@ -230,12 +239,6 @@ def regime_verge(
     alpha_fn = _schedule(alpha_rule, "alpha_rule")
     n_fn = _schedule(n_rule, "n_rule")
     consts = AsymptoticConstants(sparsity.c_numerator / beta)
-    try:
-        grid = DEFAULT_EXACT_GRID if t_grid is None else tuple(float(t) for t in t_grid)
-    except OverflowError:  # an integer beyond the float range
-        raise ParameterError("t_grid must hold numbers within the float range") from None
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("t_grid must be strictly increasing")
 
     def generator(t: float) -> RegimePoint:
         if not 1.0 < t <= _MAX:
@@ -257,7 +260,8 @@ def regime_verge(
             n=n_fn(m) if n_fn is not None else None,
         )
 
-    return Regime(name=name or "verge", generator=generator, t_grid=grid)
+    return Regime(name=name or "verge", generator=generator,
+                  t_grid=DEFAULT_EXACT_GRID if t_grid is None else t_grid)
 
 
 def point_setting(point: RegimePoint) -> TestingSetting:

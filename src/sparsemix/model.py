@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import _MAX, ParameterError, _at_least_one, _c_sq, _finite, _level, _positive
+from .errors import _MAX, ParameterError, _at_least_one, _c_sq, _c_sq_array, _finite, _level, _positive
 from .normal import Phi_tail, _like
 
 __all__ = [
@@ -245,13 +245,6 @@ def oracle_threshold_sq_raw(model: MixtureModel, losses: Losses) -> ThresholdSq:
     return ThresholdSq(c_sq)
 
 
-def _checked_c_sq(c_sq) -> np.ndarray:
-    arr = np.asarray(c_sq, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-        raise ParameterError("c_sq must be >= 0")
-    return arr
-
-
 def type1_exact(c_sq) -> float:
     """Probability of a false rejection at threshold c^2:
     P(Z^2 >= c^2) = 2(1 - Phi(c)) = erfc(sqrt(c^2/2)).
@@ -266,7 +259,7 @@ def type1_exact(c_sq) -> float:
     """
     if isinstance(c_sq, (float, int, ThresholdSq)):
         return math.erfc(math.sqrt(_c_sq(c_sq) / 2.0))
-    arr = _checked_c_sq(c_sq)
+    arr = _c_sq_array(c_sq)
     return _like(special.erfc(np.sqrt(arr / 2.0)), c_sq)
 
 
@@ -281,7 +274,7 @@ def type2_exact(c_sq, u: float) -> float:
     uf = _positive(u, "u")
     if isinstance(c_sq, (float, int, ThresholdSq)):
         return math.erf(math.sqrt(_c_sq(c_sq) / (2.0 * (uf + 1.0))))
-    arr = _checked_c_sq(c_sq)
+    arr = _c_sq_array(c_sq)
     return _like(special.erf(np.sqrt(arr / (2.0 * (uf + 1.0)))), c_sq)
 
 

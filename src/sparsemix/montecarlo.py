@@ -80,7 +80,7 @@ import numpy as np
 from scipy import special
 
 from .bfdr import BfdrLevel, gw_threshold
-from .errors import _MAX, ParameterError, _level
+from .errors import _MAX, ParameterError, _count, _level
 from .model import TestingSetting
 from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
 from .procedures import ConfusionCounts, _critical_pvalue, _step_up_threshold, bonferroni_threshold
@@ -119,8 +119,7 @@ class McEstimate:
     reps: int
 
     def __post_init__(self):
-        if not (isinstance(self.reps, (int, np.integer)) and self.reps >= 1):
-            raise ParameterError("reps must be a positive integer")
+        _count(self.reps, "reps", 1)
         if not 0.0 <= self.std_error <= _MAX:
             raise ParameterError("std_error must be >= 0")
 
@@ -180,12 +179,6 @@ def default_workers() -> int:
     if workers < 1:
         raise ParameterError("worker count must be >= 1")
     return workers
-
-
-def _check_reps(reps) -> int:
-    if not (isinstance(reps, (int, np.integer)) and reps >= 2):
-        raise ParameterError("reps must be an integer >= 2")
-    return int(reps)
 
 
 def _replicate_rng(seed, index: int) -> np.random.Generator:
@@ -330,7 +323,7 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
     row per name in _STATS, replicates in index order along each row; the
     threshold_gap row is there only for the step-up rule with a level.
     """
-    reps = _check_reps(reps)
+    reps = _count(reps, "reps", 2)
     m = setting.int_m()
     losses = setting.losses
     gw_z = _gap_reference(setting, rule)
@@ -377,11 +370,10 @@ def mc_conditional_k(
     """Same report, conditioned on exactly k signals per replicate, so
     ev.mean estimates E(V | K = k)."""
     m = setting.int_m()
-    if not (isinstance(k, (int, np.integer)) and 0 <= k):
-        raise ParameterError("k must be a nonnegative integer")
+    k = _count(k, "k")
     if k > m:
         raise ParameterError(f"k={k} exceeds m={m}")
-    return _report(_replicates(setting, rule, reps, seed, workers, int(k)))
+    return _report(_replicates(setting, rule, reps, seed, workers, k))
 
 
 def threshold_gap_study(
@@ -398,7 +390,7 @@ def threshold_gap_study(
     epsilon = +inf is an allowed marker and forces exceed_frac = 0.
     It draws the same replicates as mc_run with BhRule(alpha).
     """
-    reps = _check_reps(reps)
+    reps = _count(reps, "reps", 2)
     if not (0.0 < epsilon <= _MAX or epsilon == math.inf):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
     rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
@@ -414,8 +406,7 @@ def bh_conditional_ev_bound(alpha: float, k) -> float:
     """Upper bound alpha (k/(1-alpha) + 1/(1-alpha)^2) on E(V | K = k) for the
     step-up procedure under independence; valid for k < m (1/alpha_0 - 1)."""
     _level(alpha)
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ParameterError("k must be a nonnegative integer")
+    k = _count(k, "k")
     return alpha * (k / (1.0 - alpha) + 1.0 / (1.0 - alpha) ** 2)
 
 

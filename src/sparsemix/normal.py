@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, _positive
+from .errors import ParameterError, _finite_array, _positive
 
 __all__ = [
     "phi",
@@ -34,13 +34,6 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _checked(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
-    return arr
-
-
 def _like(value: np.ndarray, template) -> float | np.ndarray:
     if np.isscalar(template) or np.ndim(template) == 0:
         return float(value)
@@ -49,19 +42,19 @@ def _like(value: np.ndarray, template) -> float | np.ndarray:
 
 def phi(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
-    arr = _checked(x, "x")
+    arr = _finite_array(x, "x")
     return _like(np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI, x)
 
 
 def Phi(x):
     """Standard normal CDF via erfc; left tail keeps full relative accuracy."""
-    arr = _checked(x, "x")
+    arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(-arr / _SQRT2), x)
 
 
 def Phi_tail(x):
     """Upper tail 1 - Phi(x), evaluated directly (no cancellation)."""
-    arr = _checked(x, "x")
+    arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(arr / _SQRT2), x)
 
 
@@ -76,7 +69,7 @@ def Phi_inv(q):
     """
     if type(q) is float:
         return _phi_inv_float(q)
-    arr = _checked(q, "q")
+    arr = _finite_array(q, "q")
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ParameterError("q must lie strictly inside (0, 1)")
     x = special.ndtri(arr)

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, _at_least_one, _finite, _level, _positive
+from .errors import ParameterError, _at_least_one, _count, _finite, _finite_array, _level, _positive
 from .model import Losses, ThresholdSq
 from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
 
@@ -78,9 +78,7 @@ class ConfusionCounts:
 
     def __post_init__(self):
         for name in ("V", "S", "K"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ParameterError(f"{name} must be a nonnegative integer")
+            _count(getattr(self, name), name)
         if self.S > self.K:
             raise ParameterError("need S <= K")
 
@@ -100,20 +98,11 @@ class ConfusionCounts:
 def pvalues(x, sigma: float) -> np.ndarray:
     """Two-sided p-values P(|N(0, sigma^2)| >= |x_i|), computed via erfc so
     the extreme tail keeps full relative accuracy."""
-    mag = np.abs(np.asarray(x, dtype=float))
-    # NaN and inf both make the max non-finite; an empty array has no max.
-    if mag.size and not np.isfinite(mag.max()):
-        raise ParameterError("x must be finite")
+    mag = np.abs(_finite_array(x, "x"))
     _positive(sigma, "sigma")
     # In place for an array; a 0-d x gives a numpy scalar, divided anew.
     mag /= sigma * _SQRT2
     return special.erfc(mag)
-
-
-def _check_finite(arr: np.ndarray) -> None:
-    # min and max propagate NaN, and an infinity is one of them.
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ParameterError("x must be finite")
 
 
 def _last_crossing(ordered: np.ndarray, alpha: float, m: int) -> float | None:
@@ -187,8 +176,7 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
 
 def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
     """Reject H_i exactly when x_i^2 / sigma^2 >= c^2 (ties rejected)."""
-    arr = np.asarray(x, dtype=float)
-    _check_finite(arr)
+    arr = _finite_array(x, "x")
     _positive(sigma, "sigma")
     c_sq = c_sq if isinstance(c_sq, ThresholdSq) else ThresholdSq(c_sq)
     return RejectionResult(rejected=np.square(arr / sigma) >= float(c_sq), realized_threshold_sq=c_sq)
@@ -201,7 +189,10 @@ def bonferroni_threshold(m, alpha: float) -> ThresholdSq:
     q = alpha / (2.0 * mf)
     if q >= 0.5:
         return ThresholdSq(0.0)
-    z = Phi_inv_upper(q)
+    if q == 0.0:  # underflowed: take the quantile from log q
+        z = -float(special.ndtri_exp(math.log(alpha) - (math.log(mf) + math.log(2.0))))
+    else:
+        z = Phi_inv_upper(q)
     return ThresholdSq(z * z)
 
 

@@ -630,6 +630,22 @@ def test_a_grid_beyond_the_float_range_is_a_config_error(tmp_path, capsys, confi
     assert err.strip() == f"config error: {path}: must hold numbers within the float range"
 
 
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["--preset", "bfdr_fixed_alpha", "--grid", "1e4,1e3"], None, id="descending"),
+    pytest.param(["--preset", "bfdr_fixed_alpha", "--grid", "1e3,1e3"], None, id="duplicated"),
+    pytest.param([], {"preset": "bh_fixed_alpha", "grid": [1e4, 1e3]}, id="config_beside_preset"),
+])
+def test_a_grid_not_strictly_increasing_is_a_domain_error(tmp_path, capsys, argv, config):
+    """A grid given to a preset is checked like any other: exit 1, nothing written."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, "convergence", *argv, "--out", str(tmp_path / "table.csv"))
+    assert (code, out, err) == (1, "", "error: t_grid must be strictly increasing\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -2,7 +2,9 @@
 helper per quantity: a real outside the domain (nan, an infinity, a Python
 int beyond the float range, or a plain out-of-range value, also as a numpy
 scalar) raises ParameterError with that quantity's one message, and a value
-inside it gives the same result whatever its numeric type."""
+inside it gives the same result whatever its numeric type.  A count is an
+integer: a bool or a float such as 2.0 is outside its domain, and a Python
+or numpy integer inside it gives the same result."""
 
 import dataclasses
 import math
@@ -18,6 +20,7 @@ from sparsemix import (
     BfdrRule,
     BhRule,
     BonferroniRule,
+    ConfusionCounts,
     ConstantDelta,
     DecayingDelta,
     DerivedParams,
@@ -26,6 +29,7 @@ from sparsemix import (
     GwRule,
     LogVRule,
     Losses,
+    McEstimate,
     MixtureModel,
     ParameterError,
     PowerSparsity,
@@ -40,14 +44,18 @@ from sparsemix import (
     bonferroni_threshold_asymptotic,
     fill_rule,
     fixed_threshold_reject,
+    mc_conditional_k,
+    mc_run,
     normal_tail_approx,
     optimality_diagnostics,
     oracle_bfdr_asymptotic_finite,
     oracle_threshold_sq,
+    preset,
     pvalues,
     regime_verge,
     replicate_threshold,
     rule_to_config,
+    threshold_gap_study,
     type1_asymptotic,
     type1_exact,
     type2_asymptotic,
@@ -82,9 +90,9 @@ def _with_numpy_forms(values):
     return values + [np.float64(v) for v in values if abs(v) != HUGE]
 
 
-# Levels start at 1e-300: below about 1e-307 the Bonferroni quantile's tail
-# alpha/(2m) underflows to 0, an error of its own (at the parent too).
-LEVEL = st.floats(1e-300, 1.0, exclude_max=True)
+# Levels reach the smallest double, where the Bonferroni tail alpha/(2m)
+# underflows to 0.
+LEVEL = st.floats(5e-324, 1.0, exclude_max=True)
 POSITIVE = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000))
 AT_LEAST_ONE = st.one_of(st.floats(1.0, 1e12), st.integers(1, 10**6))
 C_SQ = st.one_of(st.floats(0.0, 1e4), st.integers(0, 10**4), st.just(math.inf))
@@ -219,6 +227,38 @@ def test_reals_beyond_the_float_range_are_out_of_domain(call):
         call()
 
 
+# (parameter name, least value, entry point of one argument, values inside the domain)
+SMALL = TestingSetting(MixtureModel(p=0.1, sigma_sq=1.0, tau_sq=9.0), Losses(1.0, 1.0), m=20)
+COUNTS = {
+    "mc_run.reps": ("reps", 2, lambda r: mc_run(SMALL, BhRule(0.1), r, 0), st.integers(2, 4)),
+    "mc_conditional_k.reps": (
+        "reps", 2, lambda r: mc_conditional_k(SMALL, BhRule(0.1), 3, r, 0), st.integers(2, 4)),
+    "threshold_gap_study.reps": (
+        "reps", 2, lambda r: threshold_gap_study(SMALL, 0.1, r, 0, 0.5), st.integers(2, 4)),
+    "McEstimate.reps": ("reps", 1, lambda r: McEstimate(0.5, 0.1, r), st.integers(1, 10**6)),
+    "mc_conditional_k.k": ("k", 0, lambda k: mc_conditional_k(SMALL, GwRule(0.1), k, 2, 0), st.integers(0, 20)),
+    "bh_conditional_ev_bound.k": ("k", 0, lambda k: bh_conditional_ev_bound(0.1, k), st.integers(0, 10**6)),
+    "ConfusionCounts.V": ("V", 0, lambda v: ConfusionCounts(V=v, S=0, K=0), st.integers(0, 10**6)),
+    "ConfusionCounts.S": ("S", 0, lambda s: ConfusionCounts(V=0, S=s, K=10**6), st.integers(0, 10**6)),
+    "ConfusionCounts.K": ("K", 0, lambda k: ConfusionCounts(V=0, S=0, K=k), st.integers(0, 10**6)),
+}
+COUNT_OUTSIDE = [True, False, 2.0, np.float64(2.0), math.nan, -1, np.int64(-1)]
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_one_error_and_one_message_per_count(entry, data):
+    name, least, call, inside = COUNTS[entry]
+    bad = data.draw(st.sampled_from(COUNT_OUTSIDE), label="outside")
+    with pytest.raises(ParameterError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be an integer >= {least}, got {bad!r}"
+
+    good = data.draw(inside, label="inside")
+    assert _bits(call(np.int64(good))) == _bits(call(good))
+
+
 def test_a_grid_beyond_the_float_range_is_out_of_domain():
     with pytest.raises(ParameterError, match=r"^t_grid must hold numbers within the float range$"):
         regime_verge(2.0, PowerSparsity(0.5), ConstantDelta(), t_grid=(1e4, HUGE))
@@ -247,3 +287,19 @@ def test_stored_fields_keep_the_value_given():
     assert BfdrLevel(alpha).alpha is alpha
     assert TestingSetting(MODEL, Losses(1.0, 1.0), m=10).m == 10
     assert type(TestingSetting(MODEL, Losses(1.0, 1.0), m=10).m) is int
+
+
+@pytest.mark.parametrize("grid", [(1e4, 1e3), (1e3, 1e3), [1e3, 1e4, 1e4]])
+@pytest.mark.parametrize("name", ["bfdr_fixed_alpha", "bh_fixed_alpha", "bh_fixed_delta"])
+def test_every_regime_grid_is_strictly_increasing(name, grid):
+    """The grid is checked where a regime is made, a replaced grid too."""
+    regime, _ = preset(name)
+    with pytest.raises(ParameterError, match=r"^t_grid must be strictly increasing$"):
+        dataclasses.replace(regime, t_grid=grid)
+
+
+def test_a_regime_grid_is_held_as_a_tuple_of_floats():
+    regime, _ = preset("bh_fixed_alpha")
+    grid = dataclasses.replace(regime, t_grid=[100, np.float64(1e4), 10**6]).t_grid
+    assert grid == (100.0, 1e4, 1e6)
+    assert all(type(t) is float for t in grid)

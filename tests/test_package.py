@@ -49,12 +49,13 @@ def test_modules_use_every_name_they_import():
 
 # Fragments of the one message of each checked quantity; ", got" keeps
 # unrelated texts such as "worker count must be >= 1" apart.
-_CHECK_MESSAGES = ("must lie in (0,1), got", "must be a finite positive real", "must be >= 1, got")
+_CHECK_MESSAGES = ("must lie in (0,1), got", "must be a finite positive real", "must be >= 1, got",
+                   "must be an integer >= ")
 
 
 def test_scalar_checks_live_only_in_errors():
-    """A level, positive real or count is checked by its helper in errors.py,
-    never by a copy of it in another module."""
+    """A level, positive real, real >= 1 or integer count is checked by its
+    helper in errors.py, never by a copy of it in another module."""
     copies = [
         f"{path.name}: {fragment}"
         for path in sorted(SRC.glob("*.py"))
@@ -62,4 +63,11 @@ def test_scalar_checks_live_only_in_errors():
         for fragment in _CHECK_MESSAGES
         if fragment in path.read_text()
     ]
+    assert copies == []
+
+
+def test_finite_arrays_are_checked_only_in_errors():
+    """An array's finiteness has one check, errors._finite_array."""
+    copies = [path.name for path in sorted(SRC.glob("*.py"))
+              if path.name != "errors.py" and "np.isfinite" in path.read_text()]
     assert copies == []

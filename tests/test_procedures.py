@@ -199,6 +199,19 @@ def test_bonferroni_hand_values():
     assert bonferroni_threshold(20, 0.05).z == pytest.approx(3.023341, abs=1e-4)
 
 
+def test_bonferroni_where_the_tail_underflows():
+    """alpha/(2m) below the smallest double: the quantile is taken from
+    log alpha - log 2m.  The references are 50-digit mpmath roots of the
+    upper tail."""
+    assert float(bonferroni_threshold(1e300, 1e-30)) == 1511.932114382412  # exact
+    assert float(bonferroni_threshold(10, 5e-324)) == 1485.7287267843553  # 2.8e-16 relative
+    # 2m overflows here; log m + log 2 does not.
+    assert float(bonferroni_threshold(1.7e308, 1e-300)) == pytest.approx(2792.6176966661891, rel=1e-15)
+    result = bh_reject([0.001, 0.3, 0.9], 5e-324)
+    assert result.num_rejected == 0
+    assert float(result.realized_threshold_sq) == float(bonferroni_threshold(3, 5e-324))
+
+
 def test_bonferroni_degenerate_level():
     assert float(bonferroni_threshold(1, 0.9999999)) == pytest.approx(0.0, abs=1e-6)
 
