@@ -15,15 +15,16 @@ output (CSV or sidecar) may afterwards hold the old bytes cut to the new
 length, or a mix of the old and the new run, and the sidecar may describe
 another run than the CSV.  A write that fails (disk full, I/O error) cuts
 the file to nothing.
-Identical invocations produce byte-identical CSV regardless of worker
-count — parallelism never touches streams or reduction order.
+Identical invocations produce byte-identical CSV whatever worker count
+SPARSEMIX_WORKERS asks for, the one way a run sets it: threads never touch
+streams or reduction order.
 
 Exit codes: 0 success; 1 domain errors such as a value out of its range
 (module messages surfaced verbatim) and unwritable outputs; 2 flag or
 config-schema errors, each naming its field path: a field that is unknown,
 missing, of the wrong type or without effect (overrides without a preset;
 a setting, setting flag or regime beside one; a threshold flag that no
-selected rule reads; reps, seed or workers in exact mode), a negative
+selected rule reads; reps or seed in exact mode), a negative
 seed, and requests beyond MAX_M tests sampled, MAX_REPS replicates or
 MAX_GRID_POINTS convergence grid points, which are refused before
 anything is allocated.
@@ -313,17 +314,14 @@ def _preset_and_rule(cfg: dict, args, echo: dict):
 
 
 def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOptions, str | None]:
-    """Replicates, seed and workers, and the output path; all echoed."""
+    """Replicates and seed, and the output path; all echoed."""
     reps = _flag_or_field(args, cfg, "reps", int, default=default_reps)
     _at_most("reps", reps, MAX_REPS, "replicates")
     seed = _flag_or_field(args, cfg, "seed", int, default=0)
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
-    workers = _flag_or_field(args, cfg, "workers", int)
     echo.update(reps=reps, seed=seed)
-    if workers is not None:
-        echo["workers"] = workers
-    return McOptions(reps=reps, seed=seed, workers=workers), _output(cfg, args, echo)
+    return McOptions(reps=reps, seed=seed), _output(cfg, args, echo)
 
 
 def _output(cfg: dict, args, echo: dict) -> str | None:
@@ -425,7 +423,7 @@ def cmd_risk(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _reject_unknown(cfg, ("preset", "overrides", "setting", "rule", "m",
-                          "reps", "seed", "workers", "out"))
+                          "reps", "seed", "out"))
     echo: dict = {}
     regime, rule = _preset_and_rule(cfg, args, echo)
     m = _flag_or_field(args, cfg, "m", float)
@@ -449,7 +447,7 @@ def cmd_simulate(args) -> int:
     _at_most("m", setting.m, MAX_M, "tests")
     mc, out = _run_options(cfg, args, 1000, echo)
     echo.update(setting=_setting_echo(setting), rule=rule_to_config(rule))
-    report = mc_run(setting, rule, mc.reps, mc.seed, workers=mc.workers)
+    report = mc_run(setting, rule, mc.reps, mc.seed)
     rows = []
     for stat in fields(report):
         estimate = getattr(report, stat.name)
@@ -462,7 +460,7 @@ def cmd_simulate(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _reject_unknown(cfg, ("preset", "overrides", "regime", "rule", "mode",
-                          "grid", "reps", "seed", "workers", "out"))
+                          "grid", "reps", "seed", "out"))
     echo: dict = {}
     regime, rule = _preset_and_rule(cfg, args, echo)
     if regime is None:
@@ -485,7 +483,7 @@ def cmd_convergence(args) -> int:
         _at_most("grid", max(point.m for point in regime.points()), MAX_M, "tests per point")
         mc, out = _run_options(cfg, args, 400, echo)
     else:
-        for key in ("reps", "seed", "workers"):  # refused, not echoed and ignored
+        for key in ("reps", "seed"):  # refused, not echoed and ignored
             if _flag_or_field(args, cfg, key, int) is not None:
                 raise ConfigError(key, "not used in exact mode")
         mc, out = None, _output(cfg, args, echo)
@@ -528,9 +526,6 @@ def _add_rule_flags(par) -> None:
 def _add_mc_flags(par, default_reps: int) -> None:
     par.add_argument("--reps", type=int, help=f"replicates (default {default_reps})")
     par.add_argument("--seed", type=int, help="master seed (default 0)")
-    par.add_argument("--workers", type=int,
-                     help="worker threads, at most one per usable CPU and per replicate "
-                          "(default $SPARSEMIX_WORKERS, else 1)")
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:

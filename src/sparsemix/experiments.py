@@ -408,7 +408,6 @@ def preset(name: str, **overrides) -> tuple[Regime, Rule]:
 class McOptions:
     reps: int = 400
     seed: int = 0
-    workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -519,7 +518,8 @@ def run_convergence(
     Exact mode covers every fixed-threshold rule via closed forms; the
     step-up procedure has no fixed threshold and requires mc mode, where
     risk is estimated with McOptions replication (per-point streams derived
-    from (seed, grid index)).
+    from (seed, grid index)) on the worker threads that SPARSEMIX_WORKERS
+    asks for.
     """
     if mode not in ("exact", "mc"):
         raise ParameterError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -536,14 +536,7 @@ def run_convergence(
                 )
             rows.append(_row(point, setting, float(threshold_sq(concrete, setting))))
         else:
-            setting = TestingSetting(setting.model, setting.losses, setting.int_m())
-            report = mc_run(
-                setting,
-                concrete,
-                opts.reps,
-                seed=(int(opts.seed), index),
-                workers=opts.workers,
-            )
+            report = mc_run(setting, concrete, opts.reps, seed=(int(opts.seed), index))
             c_sq = (
                 float(threshold_sq(concrete, setting))
                 if is_fixed_threshold(concrete)

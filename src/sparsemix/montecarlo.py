@@ -6,11 +6,12 @@ column i of one preallocated table with a row per statistic, and the final
 reduction runs along the rows of that table, each in index order.  Worker
 threads only choose *which* columns they fill, never the stream or the
 order of the reduction, so reports are bit-identical for any worker count.
-The default worker count comes from the SPARSEMIX_WORKERS environment
-variable (fallback: 1).  A replicate is a few scalar draws in Python and
-holds the GIL, so more threads mostly add their start-up cost.  At most one
-thread per usable CPU and per replicate is started, whatever the count
-asked for.
+The worker count is workers= of mc_run and mc_conditional_k, else the
+SPARSEMIX_WORKERS environment variable, else 1; the CLI and
+threshold_gap_study have only the environment variable.  A replicate is a
+few scalar draws in Python and holds the GIL, so more threads mostly add
+their start-up cost.  At most one thread per usable CPU and per replicate
+is started, whatever the count asked for.
 
 Stream 3: a replicate draws only the tail that a rule can reject.  Every
 rule here sees the data through its p-values, which are i.i.d. U(0,1)
@@ -83,7 +84,7 @@ from .bfdr import BfdrLevel, gw_threshold
 from .errors import _MAX, ParameterError, _count, _level
 from .model import TestingSetting
 from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
-from .procedures import ConfusionCounts, _critical_pvalue, _step_up_threshold, bonferroni_threshold
+from .procedures import _critical_pvalue, _step_up_threshold, bonferroni_threshold
 from .rules import BhRule, Rule, _need_alpha, threshold_sq
 
 __all__ = [
@@ -175,10 +176,8 @@ def default_workers() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        raise ParameterError(f"SPARSEMIX_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ParameterError("worker count must be >= 1")
-    return workers
+        workers = raw  # not a count: _count names it
+    return _count(workers, "SPARSEMIX_WORKERS", 1)
 
 
 def _replicate_rng(seed, index: int) -> np.random.Generator:
@@ -194,9 +193,7 @@ def _usable_cpus() -> int:
 
 def _parallel_fill(fill, reps: int, workers: int | None) -> None:
     """fill(lo, hi) over spans of the replicates."""
-    w = default_workers() if workers is None else int(workers)
-    if w < 1:
-        raise ParameterError("worker count must be >= 1")
+    w = default_workers() if workers is None else _count(workers, "workers", 1)
     # More threads than CPUs or than replicates only add overhead; the
     # reports do not depend on the count.
     w = min(w, _usable_cpus(), reps)
@@ -209,20 +206,15 @@ def _parallel_fill(fill, reps: int, workers: int | None) -> None:
             future.result()
 
 
-def _gap_reference(setting: TestingSetting, rule: Rule) -> float | None:
-    """|Z|-scale GW threshold to compare realized step-up thresholds against."""
-    if isinstance(rule, BhRule) and rule.alpha is not None:
-        return math.sqrt(float(gw_threshold(setting.model, BfdrLevel(rule.alpha))))
-    return None
-
-
 @dataclass(frozen=True)
 class _Tail:
     """A rule resolved, once, to the tail of p-values it can reject.
 
     a is the tail level, q1 the chance that a signal's p-value is in the
-    tail and s the alternative's scale over the null's; alpha is the
-    step-up level, None for a fixed threshold.
+    tail and s the alternative's scale over the null's.  alpha is the
+    step-up level, and gw_z and bon_z are its GW and Bonferroni thresholds
+    on the |Z| scale, which the realized threshold is compared against; all
+    three are None for a fixed threshold.
     """
 
     m: int
@@ -231,6 +223,8 @@ class _Tail:
     q1: float
     s: float
     alpha: float | None
+    gw_z: float | None
+    bon_z: float | None
 
 
 def _alt_tail(t: float, s: float) -> float:
@@ -244,14 +238,16 @@ def _tail(setting: TestingSetting, rule: Rule) -> _Tail:
     s = math.sqrt(1.0 + setting.model.u)
     if isinstance(rule, BhRule):
         alpha = _need_alpha(rule)
+        gw_z = math.sqrt(float(gw_threshold(setting.model, BfdrLevel(alpha))))
+        bon_z = math.sqrt(float(bonferroni_threshold(m, alpha)))
         a = alpha * m / m
         q1 = _alt_tail(a, s)
     else:
-        alpha = None
+        alpha = gw_z = bon_z = None
         z = math.sqrt(threshold_sq(rule, setting))
         a = math.erfc(z / _SQRT2)
         q1 = math.erfc(z / (s * _SQRT2))
-    return _Tail(m=m, p=setting.model.p, a=a, q1=q1, s=s, alpha=alpha)
+    return _Tail(m=m, p=setting.model.p, a=a, q1=q1, s=s, alpha=alpha, gw_z=gw_z, bon_z=bon_z)
 
 
 def _tail_pvalues(rng: np.random.Generator, n0: int, n1: int, t: float, g: float, s: float):
@@ -312,7 +308,7 @@ def _replicate_counts(tail: _Tail, rng: np.random.Generator, k: int | None = Non
 
 
 # McReport's fields in the row order of the replicate table; the last is
-# kept only for the step-up rule with a level.
+# kept only for the step-up rule.
 _STATS = ("risk", "fdr", "fwer", "ev", "power", "threshold_gap")
 
 
@@ -321,33 +317,31 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
 
     Returns the per-replicate statistics as one C-contiguous table with a
     row per name in _STATS, replicates in index order along each row; the
-    threshold_gap row is there only for the step-up rule with a level.
+    threshold_gap row is there only for the step-up rule.
     """
     reps = _count(reps, "reps", 2)
-    m = setting.int_m()
-    losses = setting.losses
-    gw_z = _gap_reference(setting, rule)
-    bon_z = math.sqrt(float(bonferroni_threshold(m, rule.alpha))) if gw_z is not None else None
+    delta0, deltaA = setting.losses.delta0, setting.losses.deltaA
     # Resolve once: a fixed threshold is the same for every replicate, and
     # resolving may itself be expensive (bisection).
     tail = _tail(setting, rule)
-    names = _STATS if gw_z is not None else _STATS[:-1]
+    m, alpha, gw_z, bon_z = tail.m, tail.alpha, tail.gw_z, tail.bon_z
+    names = _STATS if alpha is not None else _STATS[:-1]
     table = np.empty((len(names), reps))
     loss, fdp, any_false, v_count, tdp, *gap_row = table  # row views
     gaps = gap_row[0] if gap_row else None
 
     def fill(lo: int, hi: int) -> None:
+        # V, S and K are counts by construction (0 <= S <= K, 0 <= V <= m - K).
         for i in range(lo, hi):
             v, s, signals, crit = _replicate_counts(tail, _replicate_rng(seed, i), k)
-            counts = ConfusionCounts(V=v, S=s, K=signals)
-            rejected = counts.num_rejected
-            loss[i] = counts.loss(losses)
-            fdp[i] = counts.V / rejected if rejected > 0 else 0.0
-            any_false[i] = 1.0 if counts.V > 0 else 0.0
-            v_count[i] = counts.V
-            tdp[i] = counts.S / counts.K if counts.K > 0 else 0.0
+            rejected = v + s
+            loss[i] = delta0 * v + deltaA * (signals - s)
+            fdp[i] = v / rejected if rejected > 0 else 0.0
+            any_false[i] = 1.0 if v > 0 else 0.0
+            v_count[i] = v
+            tdp[i] = s / signals if signals > 0 else 0.0
             if gaps is not None:
-                bh_z = min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, tail.alpha))))
+                bh_z = min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, alpha))))
                 gaps[i] = abs(bh_z - gw_z)
 
     _parallel_fill(fill, reps, workers)
@@ -376,25 +370,19 @@ def mc_conditional_k(
     return _report(_replicates(setting, rule, reps, seed, workers, k))
 
 
-def threshold_gap_study(
-    setting: TestingSetting,
-    alpha: float,
-    reps,
-    seed,
-    epsilon: float,
-    workers: int | None = None,
-) -> GapStudy:
+def threshold_gap_study(setting: TestingSetting, alpha: float, reps, seed, epsilon: float) -> GapStudy:
     """Concentration of the realized step-up threshold c_BH around the fixed
     c_GW at the same level: mean/median gap and P(gap > epsilon).
 
     epsilon = +inf is an allowed marker and forces exceed_frac = 0.
-    It draws the same replicates as mc_run with BhRule(alpha).
+    It draws the same replicates as mc_run with BhRule(alpha), on the
+    worker threads that SPARSEMIX_WORKERS asks for.
     """
     reps = _count(reps, "reps", 2)
     if not (0.0 < epsilon <= _MAX or epsilon == math.inf):
         raise ParameterError("epsilon must be a positive real (inf allowed)")
     rule = BhRule(BfdrLevel(alpha).alpha)  # BhRule alone would accept alpha=None
-    gaps = _replicates(setting, rule, reps, seed, workers)[-1]
+    gaps = _replicates(setting, rule, reps, seed, None)[-1]
     return GapStudy(
         gap=McEstimate.from_samples(gaps),
         exceed_frac=float(np.mean(gaps > epsilon)),

@@ -284,10 +284,10 @@ def test_09_normal_special_function_accuracy():
 # 10. Identical seed, different worker counts: byte-identical CSV.
 
 
-def test_10_simulation_determinism_across_workers(tmp_path):
+def test_10_simulation_determinism_across_workers(tmp_path, monkeypatch):
     def run(command, out, workers):
-        argv = command + ["--out", str(out), "--workers", str(workers)]
-        assert main(argv) == 0
+        monkeypatch.setenv("SPARSEMIX_WORKERS", str(workers))
+        assert main(command + ["--out", str(out)]) == 0
         return out.read_bytes()
 
     simulate = [

@@ -307,16 +307,16 @@ def test_simulate_step_up_reports_threshold_gap(capsys):
     assert [r[0] for r in rows] == ["risk", "fdr", "fwer", "ev", "power", "threshold_gap"]
 
 
-def test_simulate_worker_count_invisible_in_output(capsys):
+def test_simulate_worker_count_invisible_in_output(capsys, monkeypatch):
     base = [
         "simulate", "--p", "0.05", "--u", "16", "--m", "300",
         "--rule", "bh", "--alpha", "0.2", "--reps", "40", "--seed", "11",
     ]
-    _, out1, _ = run_cli(capsys, *base, "--workers", "1")
-    _, out4, _ = run_cli(capsys, *base, "--workers", "4")
-    assert out1 == out4
-    _, again, _ = run_cli(capsys, *base, "--workers", "1")
-    assert out1 == again
+    outputs = []
+    for workers in ("1", "4", "1"):
+        monkeypatch.setenv("SPARSEMIX_WORKERS", workers)
+        outputs.append(run_cli(capsys, *base)[1])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_simulate_preset_needs_m(capsys):
@@ -570,7 +570,7 @@ def _regime(**families):
     pytest.param(["convergence"], {"preset": "lemma_universal", "mode": "mc", "grid": [1e3],
                                    "reps": 2, "seed": -4}, "seed", id="convergence_mc_negative_seed_field"),
     *(pytest.param(["convergence", "--preset", "lemma_universal", "--grid", "1e3", f"--{key}", "3"], None,
-                   key, id=f"exact_{key}_flag") for key in ("reps", "seed", "workers")),
+                   key, id=f"exact_{key}_flag") for key in ("reps", "seed")),
     *(pytest.param(["convergence"], {"preset": "lemma_universal", "grid": [1e3], key: 3},
                    key, id=f"exact_{key}_field") for key in ("reps", "seed", "workers")),
     pytest.param(["convergence", "--preset", "bfdr_fixed_alpha", "--mode", "exact", "--seed", "0"], None,
@@ -584,6 +584,25 @@ def test_malformed_config_is_exit_two_with_the_field_path(tmp_path, capsys, argv
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_SIM_PRESET, id="simulate"),
+    pytest.param(["convergence", "--preset", "lemma_universal", "--grid", "1e3"], id="convergence_exact"),
+    pytest.param(["convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3", "--reps", "2"],
+                 id="convergence_mc"),
+])
+def test_the_cli_has_no_worker_knob(tmp_path, capsys, argv):
+    """SPARSEMIX_WORKERS is the one way a run asks for threads: --workers is
+    not a flag and workers is not a config field, and nothing is written."""
+    out_path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2", "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, *with_config(tmp_path, argv, {"workers": 2}), "--out", str(out_path))
+    assert (code, out, err) == (2, "", "config error: workers: unknown field\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 @pytest.mark.parametrize("text", ['{"seed": 1', '{"seed": ' + "1" * 5000 + "}"])

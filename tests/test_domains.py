@@ -236,6 +236,10 @@ COUNTS = {
     "threshold_gap_study.reps": (
         "reps", 2, lambda r: threshold_gap_study(SMALL, 0.1, r, 0, 0.5), st.integers(2, 4)),
     "McEstimate.reps": ("reps", 1, lambda r: McEstimate(0.5, 0.1, r), st.integers(1, 10**6)),
+    "mc_run.workers": (
+        "workers", 1, lambda w: mc_run(SMALL, BhRule(0.1), 2, 0, workers=w), st.integers(1, 3)),
+    "mc_conditional_k.workers": (
+        "workers", 1, lambda w: mc_conditional_k(SMALL, BhRule(0.1), 3, 2, 0, workers=w), st.integers(1, 3)),
     "mc_conditional_k.k": ("k", 0, lambda k: mc_conditional_k(SMALL, GwRule(0.1), k, 2, 0), st.integers(0, 20)),
     "bh_conditional_ev_bound.k": ("k", 0, lambda k: bh_conditional_ev_bound(0.1, k), st.integers(0, 10**6)),
     "ConfusionCounts.V": ("V", 0, lambda v: ConfusionCounts(V=v, S=0, K=0), st.integers(0, 10**6)),

@@ -1,6 +1,7 @@
 """The package surface: one export list, built from the modules' own, and
 no module importing a name it never uses."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -47,8 +48,7 @@ def test_modules_use_every_name_they_import():
     assert [bad for path in sorted(SRC.glob("*.py")) for bad in _unused_imports(path)] == []
 
 
-# Fragments of the one message of each checked quantity; ", got" keeps
-# unrelated texts such as "worker count must be >= 1" apart.
+# Fragments of the one message of each checked quantity.
 _CHECK_MESSAGES = ("must lie in (0,1), got", "must be a finite positive real", "must be >= 1, got",
                    "must be an integer >= ")
 
@@ -71,3 +71,27 @@ def test_finite_arrays_are_checked_only_in_errors():
     copies = [path.name for path in sorted(SRC.glob("*.py"))
               if path.name != "errors.py" and "np.isfinite" in path.read_text()]
     assert copies == []
+
+
+def test_only_montecarlo_knows_about_worker_threads():
+    """SPARSEMIX_WORKERS is the one way a CLI run asks for threads: no
+    subcommand has --workers, and only montecarlo starts threads or reads
+    the variable."""
+    from sparsemix import cli
+
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    assert [name for name, par in subcommands.items() if "--workers" in par._option_string_actions] == []
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            imports = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if "concurrent.futures" in imports or (
+                isinstance(node, ast.Constant) and node.value == "SPARSEMIX_WORKERS"
+            ):
+                readers.append(path.name)
+    assert sorted(set(readers)) == ["montecarlo.py"]
