@@ -44,7 +44,7 @@ import os
 import stat
 import sys
 from dataclasses import fields, replace
-from operator import attrgetter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +94,26 @@ _RISK_COLUMNS = ("m", "p", "u", "delta0", "deltaA", "c_sq", "r1", "r2", "total")
 # Formatting and emission.
 
 
+# A number's CSV cell: 17 significant digits, so it reads back as the same double.
+_NUMBER = "%.17g"
+
+
 def _cell(value) -> str:
-    """A CSV cell that is not a Python float: an identifier as it is, a bool
-    or an integer as written, any other number as a float."""
+    """A CSV cell: an identifier as it is, a bool or an integer as written,
+    any other number as a float."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return _NUMBER % float(value)
+
+
+@cache
+def _numbers(n: int) -> str:
+    """The format of a row of n Python floats, all cells at once."""
+    return ",".join([_NUMBER] * n)
 
 
 def _show(value) -> str:
@@ -115,12 +125,14 @@ def _show(value) -> str:
 
 def _csv_text(columns, rows) -> str:
     """One header row, then the rows.  Every cell is a fixed identifier or a
-    number, so none needs quoting.  Table cells are Python floats, formatted
-    at once; any other cell goes through _cell."""
+    number, so none needs quoting.  A row of Python floats, as a table row
+    is, takes one format; any other row goes cell by cell through _cell."""
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join([format(cell, ".17g") if type(cell) is float else _cell(cell)
-                               for cell in row]))
+        if all(type(cell) is float for cell in row):
+            lines.append(_numbers(len(row)) % tuple(row))
+        else:
+            lines.append(",".join(map(_cell, row)))
     lines.append("")
     return "\n".join(lines)
 
@@ -488,13 +500,11 @@ def cmd_convergence(args) -> int:
                 raise ConfigError(key, "not used in exact mode")
         mc, out = None, _output(cfg, args, echo)
     echo.update(rule=rule_to_config(rule), mode=mode)
-    cells = attrgetter(*CONVERGENCE_COLUMNS)
-    table = [cells(row) for row in run_convergence(regime, rule, mode, mc)]
     _emit(
         out,
         "convergence",
         CONVERGENCE_COLUMNS,
-        table,
+        run_convergence(regime, rule, mode, mc),
         echo,
         seed=mc.seed if mode == "mc" else None,
     )

@@ -14,17 +14,18 @@ exact optimal risk, their ratio, and the threshold/level diagnostics whose
 trends the optimality conditions are stated in.  Exact mode defaults to a
 wide geometric grid m = 1e2 ... 1e16, because the log-rate convergence
 would be invisible on anything narrower.  The closed forms make that cheap,
-not free: on a 2-CPU x86 host a 15-point table takes about 0.3 ms where the
-rule's threshold is closed-form, and about 0.75 ms where each point solves
-for a BFDR or GW threshold (about 20 us a solve).  The CLI then spends about
-0.5 us formatting each of the table's 270 cells.
+not free: on a 2-CPU x86 host a 15-point table takes about 0.2 ms where the
+rule's threshold is closed-form, and about 0.6 ms where each point solves
+for a BFDR or GW threshold (about 20 us a solve).  A row is a tuple of
+floats, so the CLI formats it in one call, at about 0.45 us for each of the
+table's 270 cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 from .bfdr import BfdrDiagnostics, BfdrLevel, bfdr_optimality_diagnostics
 from .errors import _MAX, ConfigError, ParameterError, _finite, _level, _positive, call_with_fields
@@ -34,16 +35,12 @@ from .model import (
     Losses,
     MixtureModel,
     TestingSetting,
-    type1_exact,
-    type2_exact,
+    _oracle_c_sq,
+    _type1,
+    _type2,
 )
 from .montecarlo import McEstimate, mc_run
-from .risk import (
-    OptimalityDiagnostics,
-    optimal_risk_exact,
-    optimality_diagnostics,
-    risk_from_rates,
-)
+from .risk import _diagnostics, _risk_parts
 from .rules import (
     BfdrRule,
     BhRule,
@@ -410,11 +407,11 @@ class McOptions:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One grid point of a convergence study; nan marks a diagnostic that is
-    undefined for the rule or regime at hand (e.g. z_t for the data-dependent
-    step-up threshold, or bfdr diagnostics without a level)."""
+class ConvergenceRow(NamedTuple):
+    """One grid point of a convergence study, a tuple of floats in column
+    order; nan marks a diagnostic that is undefined for the rule or regime
+    at hand (e.g. z_t for the data-dependent step-up threshold, or bfdr
+    diagnostics without a level)."""
 
     m: float
     p: float
@@ -436,11 +433,10 @@ class ConvergenceRow:
     risk_se: float
 
 
-CONVERGENCE_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ConvergenceRow))
+CONVERGENCE_COLUMNS: tuple[str, ...] = ConvergenceRow._fields
 
 
-# Stand-ins for diagnostics that are undefined at a point.
-_NO_DIAGNOSTICS = OptimalityDiagnostics(z_t=math.nan, ratio1=math.nan, crit2=math.nan)
+# The stand-in for level diagnostics that are undefined at a point.
 _NO_BFDR_DIAGNOSTICS = BfdrDiagnostics(s_t=math.nan, cond_w2=math.nan, t_uvd=math.nan)
 
 
@@ -467,43 +463,35 @@ def _row(
 ) -> ConvergenceRow:
     """The table row at one point.  The rule's risk is exact at c_sq unless a
     Monte-Carlo estimate is given; c_sq is nan for a rule without a fixed
-    threshold.  The error rates at c_sq feed both the risk and etr/efr."""
+    threshold.  The error rates at c_sq feed both the risk and etr/efr.
+
+    The point and setting are already checked, so every cell comes from the
+    float kernels behind risk_from_rates, optimal_risk_exact and
+    optimality_diagnostics, with the bits those functions give."""
     d = point.derived
+    u, log_v = d.u, d.log_v
     if math.isnan(c_sq):
         t1 = t2 = math.nan
     else:
-        t1, t2 = type1_exact(c_sq), type2_exact(c_sq, d.u)
+        t1, t2 = _type1(c_sq), _type2(c_sq, u)
     if estimate is None:
-        risk, risk_se = risk_from_rates(setting, t1, t2).total, math.nan
+        r1, r2 = _risk_parts(setting, t1, t2)
+        risk, risk_se = r1 + r2, math.nan
     else:
         risk, risk_se = estimate.mean, estimate.std_error
-    opt = optimal_risk_exact(setting, d).total
-    if math.isfinite(c_sq) and d.log_v > 0.0:
-        diag = optimality_diagnostics(c_sq, log_v=d.log_v)
+    c_opt = max(_oracle_c_sq(u, log_v), 0.0)  # 0 where the oracle rejects everything
+    r1, r2 = _risk_parts(setting, _type1(c_opt), _type2(c_opt, u))
+    opt = r1 + r2
+    if math.isfinite(c_sq) and log_v > 0.0:
+        z_t, ratio1, crit2 = _diagnostics(c_sq, log_v)
         etr = point.m * point.p * (1.0 - t2)
         efr = point.m * (1.0 - point.p) * t1
     else:
-        diag, etr, efr = _NO_DIAGNOSTICS, math.nan, math.nan
+        z_t = ratio1 = crit2 = etr = efr = math.nan
     bfdr_diag = _bfdr_diag(point)
     return ConvergenceRow(
-        m=point.m,
-        p=point.p,
-        u=point.u,
-        v=d.v,
-        c_sq=c_sq,
-        risk=risk,
-        risk_opt=opt,
-        ratio=risk / opt,
-        z_t=diag.z_t,
-        crit2=diag.crit2,
-        ratio1=diag.ratio1,
-        s_t=bfdr_diag.s_t,
-        cond_w2=bfdr_diag.cond_w2,
-        t_uvd=bfdr_diag.t_uvd,
-        etr=etr,
-        efr=efr,
-        bo_bh_gap=_bo_bh_gap(point),
-        risk_se=risk_se,
+        point.m, point.p, point.u, d.v, c_sq, risk, opt, risk / opt, z_t, crit2, ratio1,
+        bfdr_diag.s_t, bfdr_diag.cond_w2, bfdr_diag.t_uvd, etr, efr, _bo_bh_gap(point), risk_se,
     )
 
 

@@ -228,11 +228,17 @@ def oracle_threshold_sq(u: float, v: float | None = None, *, log_v: float | None
     if (v is None) == (log_v is None):
         raise ParameterError("supply exactly one of v or log_v")
     lv = math.log(_positive(v, "v")) if log_v is None else _finite(log_v, "log_v")
-    a = 1.0 + 1.0 / uf
-    c_sq = a * (lv + math.log(a))
+    c_sq = _oracle_c_sq(uf, lv)
     if c_sq < 0.0:
         return ThresholdSq(0.0, degenerate=True)
     return ThresholdSq(c_sq)
+
+
+def _oracle_c_sq(u: float, log_v: float) -> float:
+    """The oracle's c^2 for a checked u and finite log v, before the clamp:
+    negative where rejecting everything is the Bayes rule."""
+    a = 1.0 + 1.0 / u
+    return a * (log_v + math.log(a))
 
 
 def oracle_threshold_sq_raw(model: MixtureModel, losses: Losses) -> ThresholdSq:
@@ -258,9 +264,14 @@ def type1_exact(c_sq) -> float:
     that must keep their bits stay on one path.
     """
     if isinstance(c_sq, (float, int, ThresholdSq)):
-        return math.erfc(math.sqrt(_c_sq(c_sq) / 2.0))
+        return _type1(_c_sq(c_sq))
     arr = _c_sq_array(c_sq)
     return _like(special.erfc(np.sqrt(arr / 2.0)), c_sq)
+
+
+def _type1(c_sq: float) -> float:
+    """type1_exact of a checked float c^2."""
+    return math.erfc(math.sqrt(c_sq / 2.0))
 
 
 def type2_exact(c_sq, u: float) -> float:
@@ -273,9 +284,14 @@ def type2_exact(c_sq, u: float) -> float:
     """
     uf = _positive(u, "u")
     if isinstance(c_sq, (float, int, ThresholdSq)):
-        return math.erf(math.sqrt(_c_sq(c_sq) / (2.0 * (uf + 1.0))))
+        return _type2(_c_sq(c_sq), uf)
     arr = _c_sq_array(c_sq)
     return _like(special.erf(np.sqrt(arr / (2.0 * (uf + 1.0)))), c_sq)
+
+
+def _type2(c_sq: float, u: float) -> float:
+    """type2_exact of a checked float c^2 and u."""
+    return math.erf(math.sqrt(c_sq / (2.0 * (u + 1.0))))
 
 
 def error_rates(c_sq, u: float) -> ErrorRates:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, _finite_array, _positive
+from .errors import _MAX, ParameterError, _finite_array, _positive
 
 __all__ = [
     "phi",
@@ -40,20 +40,33 @@ def _like(value: np.ndarray, template) -> float | np.ndarray:
     return value
 
 
+def _finite_float(x) -> bool:
+    """True for a finite Python float, which takes the scalar path: the same
+    ufunc on the same double as the array path, so the same bits, without
+    the array machinery."""
+    return type(x) is float and -_MAX <= x <= _MAX
+
+
 def phi(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
+    if _finite_float(x):
+        return float(np.exp(-0.5 * x * x)) * _INV_SQRT_2PI
     arr = _finite_array(x, "x")
     return _like(np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI, x)
 
 
 def Phi(x):
     """Standard normal CDF via erfc; left tail keeps full relative accuracy."""
+    if _finite_float(x):
+        return 0.5 * float(special.erfc(-x / _SQRT2))
     arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(-arr / _SQRT2), x)
 
 
 def Phi_tail(x):
     """Upper tail 1 - Phi(x), evaluated directly (no cancellation)."""
+    if _finite_float(x):
+        return 0.5 * float(special.erfc(x / _SQRT2))
     arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(arr / _SQRT2), x)
 
@@ -69,21 +82,41 @@ def Phi_inv(q):
     """
     if type(q) is float:
         return _phi_inv_float(q)
-    arr = _finite_array(q, "q")
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    arr = np.asarray(q, dtype=float)
+    # One pass for each end of the range; nan propagates to both.
+    lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
+    if not (0.0 < lo and hi < 1.0):
+        _finite_array(arr, "q")
         raise ParameterError("q must lie strictly inside (0, 1)")
     x = special.ndtri(arr)
     dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    lower = arr <= 0.5
-    resid = np.where(
-        lower,
-        0.5 * special.erfc(-x / _SQRT2) - arr,
-        (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2),
-    )
-    # resid = Phi(x) - q on both branches; skip the step where the density
-    # has underflowed (ndtri is already exact to working precision there).
+    # resid = Phi(x) - q, formed on the side of 1/2 where q sits, and only
+    # on the sides that some q occupies.
+    if hi <= 0.5:
+        resid = _resid_lower(x, arr)
+    elif lo > 0.5:
+        resid = _resid_upper(x, arr)
+    else:
+        lower = arr <= 0.5
+        resid = np.empty_like(x)
+        resid[lower] = _resid_lower(x[lower], arr[lower])
+        resid[~lower] = _resid_upper(x[~lower], arr[~lower])
+    if dens.min(initial=math.inf) > 1e-300:
+        return _like(x - resid / dens, q)
+    # Skip the step where the density has underflowed (ndtri is already
+    # exact to working precision there).
     step = np.where(dens > 1e-300, resid / np.where(dens > 0.0, dens, 1.0), 0.0)
     return _like(x - step, q)
+
+
+def _resid_lower(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Phi(x) - q for q <= 1/2."""
+    return 0.5 * special.erfc(-x / _SQRT2) - q
+
+
+def _resid_upper(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Phi(x) - q for q > 1/2, from the upper tails."""
+    return (1.0 - q) - 0.5 * special.erfc(x / _SQRT2)
 
 
 def _phi_inv_float(q: float) -> float:

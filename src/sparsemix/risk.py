@@ -71,12 +71,15 @@ class OptimalityDiagnostics:
 def risk_from_rates(setting: TestingSetting, t1: float, t2: float) -> RiskBreakdown:
     """Risk of a fixed-threshold rule with type I error t1 and type II error
     t2: r1 = m (1-p) t1 delta0 and r2 = m p t2 deltaA."""
+    r1, r2 = _risk_parts(setting, t1, t2)
+    return RiskBreakdown(r1=r1, r2=r2)
+
+
+def _risk_parts(setting: TestingSetting, t1: float, t2: float) -> tuple[float, float]:
+    """risk_from_rates's (r1, r2) as floats, unchecked."""
     p = setting.model.p
     m = float(setting.m)
-    return RiskBreakdown(
-        r1=m * (1.0 - p) * t1 * setting.losses.delta0,
-        r2=m * p * t2 * setting.losses.deltaA,
-    )
+    return m * (1.0 - p) * t1 * setting.losses.delta0, m * p * t2 * setting.losses.deltaA
 
 
 def fixed_threshold_risk(setting: TestingSetting, c_sq) -> RiskBreakdown:
@@ -132,7 +135,11 @@ def optimality_diagnostics(c_sq, v: float | None = None, *, log_v: float | None 
         if not 0.0 < log_v <= _MAX:
             raise ParameterError("optimality_diagnostics requires log v > 0")
         lv = float(log_v)
-    c = _c_sq(c_sq)
-    z_t = c - lv
-    crit2 = z_t + 2.0 * math.log(lv) if lv > 1.0 else -math.inf
-    return OptimalityDiagnostics(z_t=z_t, ratio1=z_t / lv, crit2=crit2)
+    return OptimalityDiagnostics(*_diagnostics(_c_sq(c_sq), lv))
+
+
+def _diagnostics(c_sq: float, log_v: float) -> tuple[float, float, float]:
+    """optimality_diagnostics's (z_t, ratio1, crit2) for a checked c^2 and
+    log v > 0."""
+    z_t = c_sq - log_v
+    return z_t, z_t / log_v, (z_t + 2.0 * math.log(log_v) if log_v > 1.0 else -math.inf)

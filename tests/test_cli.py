@@ -1068,6 +1068,19 @@ def test_csv_text_matches_the_csv_writer(columns, rows):
     assert cli._csv_text(columns, rows) == _csv_writer_text(columns, rows)
 
 
+_TABLE_FLOATS = st.floats() | _EDGE_FLOATS | st.floats(0.0, 2.2250738585072014e-308).map(lambda x: -x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(_TABLE_FLOATS, min_size=18, max_size=18).map(tuple), max_size=5))
+def test_csv_text_of_table_rows_matches_the_csv_writer(rows):
+    """A row of Python floats, as a convergence row is, takes one format for
+    all its cells; it gives csv.writer's bytes, nan, infinities, -0.0,
+    subnormals and 2**53 + 2 included."""
+    columns = [f"c{i}" for i in range(18)]
+    assert cli._csv_text(columns, rows) == _csv_writer_text(columns, rows)
+
+
 @pytest.mark.parametrize("argv", [
     SIMULATE_ARGS,
     ["risk", "--p", "0.1", "--u", "3", "--m", "100", "--c-sq", "4"],

@@ -32,6 +32,8 @@ from sparsemix import (
     McEstimate,
     MixtureModel,
     ParameterError,
+    Phi,
+    Phi_tail,
     PowerSparsity,
     RegimePoint,
     TestingSetting,
@@ -50,6 +52,7 @@ from sparsemix import (
     optimality_diagnostics,
     oracle_bfdr_asymptotic_finite,
     oracle_threshold_sq,
+    phi,
     preset,
     pvalues,
     regime_verge,
@@ -72,6 +75,7 @@ MESSAGES = {
     "at_least_one": "{} must be >= 1, got {!r}",
     "c_sq": "{} must be >= 0, got {!r}",
     "finite": "{} must be finite, got {!r}",
+    "finite_array": "{} must be finite",
 }
 
 _NONFINITE = [math.nan, math.inf, -math.inf, HUGE, -HUGE]
@@ -82,6 +86,8 @@ OUTSIDE = {
     "at_least_one": _NONFINITE + _NONPOSITIVE + [0.5],
     "c_sq": [math.nan, -math.inf, HUGE, -HUGE, -1.0, -1, -1e-300],
     "finite": _NONFINITE,
+    # An int beyond the float range is still numpy's OverflowError here.
+    "finite_array": [math.nan, math.inf, -math.inf],
 }
 
 
@@ -178,6 +184,10 @@ ENTRIES = {
     "LogVRule.offset": ("finite", "offset", lambda c: LogVRule(offset=c), FINITE),
     "regime_verge.alpha_rule": ("finite", "alpha_rule", lambda a: _verge(alpha_rule=a), LEVEL),
     "regime_verge.n_rule": ("finite", "n_rule", lambda n: _verge(n_rule=n), FINITE),
+    # Finite reals that may also come as arrays.
+    "phi": ("finite_array", "x", phi, FINITE),
+    "Phi": ("finite_array", "x", Phi, FINITE),
+    "Phi_tail": ("finite_array", "x", Phi_tail, FINITE),
     # The oracle_threshold_sq alternative to v.
     "oracle_threshold_sq.log_v": ("finite", "log_v", lambda lv: oracle_threshold_sq(4.0, log_v=lv), FINITE),
 }

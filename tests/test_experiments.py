@@ -292,8 +292,24 @@ def test_preset_mc_grids_for_step_up():
 
 
 def test_convergence_columns_match_row_fields():
-    fields = tuple(f.name for f in dataclasses.fields(ConvergenceRow))
-    assert CONVERGENCE_COLUMNS == fields
+    assert CONVERGENCE_COLUMNS == ConvergenceRow._fields
+
+
+@pytest.mark.parametrize("name, mode, opts", [
+    ("lemma_universal", "exact", None),
+    ("bfdr_fixed_alpha", "exact", None),
+    ("bonferroni_extreme", "mc", McOptions(reps=20, seed=1)),
+    ("bh_fixed_alpha", "mc", McOptions(reps=20, seed=1)),
+])
+def test_convergence_rows_are_tuples_of_python_floats(name, mode, opts):
+    """Every row, exact or mc, is a ConvergenceRow whose cells are Python
+    floats in CONVERGENCE_COLUMNS order, so the CLI writes it with one format."""
+    regime, rule = preset(name)
+    regime = Regime(regime.name, regime.generator, regime.t_grid[:2])
+    for row in run_convergence(regime, rule, mode, opts):
+        assert type(row) is ConvergenceRow
+        assert [type(cell) for cell in row] == [float] * len(CONVERGENCE_COLUMNS)
+        assert tuple(row) == tuple(getattr(row, col) for col in CONVERGENCE_COLUMNS)
 
 
 def test_convergence_oracle_ratio_is_one():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from sparsemix import (
     ParameterError,
@@ -146,6 +149,74 @@ def test_Phi_inv_keeps_the_array_path_for_numpy_scalars(monkeypatch):
     assert Phi_inv(0.3) == 0.0 and calls == [0.3]
     assert isinstance(Phi_inv(np.float64(0.3)), float)
     assert Phi_inv(np.asarray(0.3)) == Phi_inv(np.array([0.3]))[0]
+
+
+def _two_branch_Phi_inv(q):
+    """The quantile with its Newton residual formed on both sides of 1/2 for
+    every element, then selected: the reference the array path must match."""
+    arr = np.asarray(q, dtype=float)
+    x = special.ndtri(arr)
+    dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    resid = np.where(
+        arr <= 0.5,
+        0.5 * special.erfc(-x / math.sqrt(2.0)) - arr,
+        (1.0 - arr) - 0.5 * special.erfc(x / math.sqrt(2.0)),
+    )
+    return x - np.where(dens > 1e-300, resid / np.where(dens > 0.0, dens, 1.0), 0.0)
+
+
+_QUANTILES = st.one_of(
+    st.floats(5e-324, 0.5),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.floats(5e-324, 1e-300),
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+    st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.lists(_QUANTILES, min_size=1, max_size=40))
+def test_Phi_inv_array_path_matches_the_two_branch_reference(q):
+    """Forming the residual only on the occupied sides of 1/2, and dividing
+    directly where no density underflowed, keeps every bit: below, above and
+    straddling 1/2, subnormal and next to 1."""
+    arr = np.array(q)
+    np.testing.assert_array_equal(Phi_inv(arr).view(np.int64), _two_branch_Phi_inv(arr).view(np.int64))
+    low = arr[arr <= 0.5]
+    np.testing.assert_array_equal(Phi_inv(low).view(np.int64), _two_branch_Phi_inv(low).view(np.int64))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.3, math.nan], "q must be finite"),
+    ([math.inf, 0.3], "q must be finite"),
+    ([0.3, -math.inf], "q must be finite"),
+    ([2.0, math.nan], "q must be finite"),
+    ([0.3, 0.0], r"q must lie strictly inside \(0, 1\)"),
+    ([1.0, 0.3], r"q must lie strictly inside \(0, 1\)"),
+    ([0.7, -0.0], r"q must lie strictly inside \(0, 1\)"),
+])
+def test_Phi_inv_array_errors(bad, message):
+    with pytest.raises(ParameterError, match=message):
+        Phi_inv(np.array(bad))
+
+
+def test_Phi_inv_of_an_empty_array_is_empty():
+    for q in (np.array([]), [], np.empty((0, 3))):
+        out = Phi_inv(q)
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == np.shape(q)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 38.5, -38.5, 1e308]))
+@pytest.mark.parametrize("fn", [phi, Phi, Phi_tail])
+def test_density_and_cdf_agree_for_float_numpy_and_0d_forms(fn, x):
+    """A finite Python float takes a scalar path; np.float64 and a 0-d array
+    take the array path, and all three give the same float, bit for bit."""
+    forms = [fn(x), fn(np.float64(x)), fn(np.asarray(x))]
+    assert all(type(value) is float for value in forms)
+    assert len({value.hex() for value in forms}) == 1
 
 
 def test_Phi_inv_upper_matches_complement():

@@ -73,6 +73,14 @@ def test_finite_arrays_are_checked_only_in_errors():
     assert copies == []
 
 
+def test_csv_cells_are_formatted_only_in_cli():
+    """The 17-digit cell format lives only in cli.py, so every CSV cell,
+    one at a time or a row at once, has one formatter."""
+    copies = [path.name for path in sorted(SRC.glob("*.py"))
+              if path.name != "cli.py" and ".17g" in path.read_text()]
+    assert copies == []
+
+
 def test_only_montecarlo_knows_about_worker_threads():
     """SPARSEMIX_WORKERS is the one way a CLI run asks for threads: no
     subcommand has --workers, and only montecarlo starts threads or reads
