@@ -35,12 +35,11 @@ from .model import (
     Losses,
     MixtureModel,
     TestingSetting,
-    _oracle_c_sq,
     _type1,
     _type2,
 )
 from .montecarlo import McEstimate, mc_run
-from .risk import _diagnostics, _risk_parts
+from .risk import _diagnostics, _oracle_parts, _risk_parts
 from .rules import (
     BfdrRule,
     BhRule,
@@ -479,8 +478,7 @@ def _row(
         risk, risk_se = r1 + r2, math.nan
     else:
         risk, risk_se = estimate.mean, estimate.std_error
-    c_opt = max(_oracle_c_sq(u, log_v), 0.0)  # 0 where the oracle rejects everything
-    r1, r2 = _risk_parts(setting, _type1(c_opt), _type2(c_opt, u))
+    r1, r2 = _oracle_parts(setting, u, log_v)
     opt = r1 + r2
     if math.isfinite(c_sq) and log_v > 0.0:
         z_t, ratio1, crit2 = _diagnostics(c_sq, log_v)

@@ -40,32 +40,25 @@ def _like(value: np.ndarray, template) -> float | np.ndarray:
     return value
 
 
-def _finite_float(x) -> bool:
-    """True for a finite Python float, which takes the scalar path: the same
-    ufunc on the same double as the array path, so the same bits, without
-    the array machinery."""
-    return type(x) is float and -_MAX <= x <= _MAX
-
-
 def phi(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
-    if _finite_float(x):
-        return float(np.exp(-0.5 * x * x)) * _INV_SQRT_2PI
     arr = _finite_array(x, "x")
     return _like(np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI, x)
 
 
 def Phi(x):
     """Standard normal CDF via erfc; left tail keeps full relative accuracy."""
-    if _finite_float(x):
-        return 0.5 * float(special.erfc(-x / _SQRT2))
     arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(-arr / _SQRT2), x)
 
 
 def Phi_tail(x):
-    """Upper tail 1 - Phi(x), evaluated directly (no cancellation)."""
-    if _finite_float(x):
+    """Upper tail 1 - Phi(x), evaluated directly (no cancellation).
+
+    A finite Python float takes a scalar path: the same ufunc on the same
+    double as the array path, so the same bits, without the array machinery.
+    """
+    if type(x) is float and -_MAX <= x <= _MAX:
         return 0.5 * float(special.erfc(x / _SQRT2))
     arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(arr / _SQRT2), x)
@@ -90,17 +83,12 @@ def Phi_inv(q):
         raise ParameterError("q must lie strictly inside (0, 1)")
     x = special.ndtri(arr)
     dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    # resid = Phi(x) - q, formed on the side of 1/2 where q sits, and only
-    # on the sides that some q occupies.
+    # resid = Phi(x) - q, formed on the side of 1/2 where q sits; the upper
+    # branch is computed only when some q lies above 1/2.
     if hi <= 0.5:
         resid = _resid_lower(x, arr)
-    elif lo > 0.5:
-        resid = _resid_upper(x, arr)
     else:
-        lower = arr <= 0.5
-        resid = np.empty_like(x)
-        resid[lower] = _resid_lower(x[lower], arr[lower])
-        resid[~lower] = _resid_upper(x[~lower], arr[~lower])
+        resid = np.where(arr <= 0.5, _resid_lower(x, arr), (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2))
     if dens.min(initial=math.inf) > 1e-300:
         return _like(x - resid / dens, q)
     # Skip the step where the density has underflowed (ndtri is already
@@ -112,11 +100,6 @@ def Phi_inv(q):
 def _resid_lower(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Phi(x) - q for q <= 1/2."""
     return 0.5 * special.erfc(-x / _SQRT2) - q
-
-
-def _resid_upper(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Phi(x) - q for q > 1/2, from the upper tails."""
-    return (1.0 - q) - 0.5 * special.erfc(x / _SQRT2)
 
 
 def _phi_inv_float(q: float) -> float:

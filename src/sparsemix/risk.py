@@ -23,8 +23,10 @@ from .model import (
     AsymptoticConstants,
     DerivedParams,
     TestingSetting,
+    _oracle_c_sq,
+    _type1,
+    _type2,
     derive,
-    oracle_threshold_sq,
     type1_exact,
     type2_exact,
     type2_asymptotic,
@@ -95,8 +97,14 @@ def optimal_risk_exact(setting: TestingSetting, derived: DerivedParams | None = 
     derive(setting) already passes it as derived.
     """
     d = derive(setting) if derived is None else derived
-    c_sq = oracle_threshold_sq(d.u, log_v=d.log_v)
-    return fixed_threshold_risk(setting, c_sq)
+    return RiskBreakdown(*_oracle_parts(setting, d.u, d.log_v))
+
+
+def _oracle_parts(setting: TestingSetting, u: float, log_v: float) -> tuple[float, float]:
+    """optimal_risk_exact's (r1, r2) as floats for a checked u and log v: the
+    oracle's c^2, clamped at 0 where rejecting everything is the Bayes rule."""
+    c_sq = max(_oracle_c_sq(u, log_v), 0.0)
+    return _risk_parts(setting, _type1(c_sq), _type2(c_sq, u))
 
 
 def optimal_risk_asymptotic(setting: TestingSetting, consts: AsymptoticConstants) -> float:
