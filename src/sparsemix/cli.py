@@ -61,7 +61,6 @@ from .experiments import (
     McOptions,
     PRESET_NAMES,
     Regime,
-    point_setting,
     preset,
     regime_verge,
     run_convergence,
@@ -448,7 +447,7 @@ def cmd_simulate(args) -> int:
             if key != "m" and getattr(args, key) is not None:
                 raise ConfigError("setting." + key, "not used with a preset")
         point = regime.generator(m)
-        setting = point_setting(point)
+        setting = point.setting
         rule = fill_rule(rule, alpha=point.alpha, n=point.n)
     else:
         setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)

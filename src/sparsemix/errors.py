@@ -7,7 +7,8 @@ module.  Each scalar check compares first, so nan, an infinity and a
 Python int beyond the float range all fail the comparison, and each
 raises ParameterError naming the value, formatted only then.  A count
 must pass operator.index and not be a bool, so 2.0 and True are not
-counts.  The array checks test every element of a float array.  The
+counts.  The array checks test every element of a float array; an int
+beyond the float range, which numpy cannot convert, fails them too.  The
 config reader reads a config object as the parameters of what it builds.
 """
 
@@ -78,9 +79,17 @@ def _c_sq(value, name: str = "c_sq") -> float:
     raise ParameterError(f"{name} must be >= 0, got {value!r}")
 
 
+def _float_array(value, message: str) -> np.ndarray:
+    """value as a float array; an int beyond the float range raises ParameterError(message)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ParameterError(message) from None
+
+
 def _c_sq_array(value) -> np.ndarray:
     """value as a float array of squared thresholds (+inf allowed)."""
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, "c_sq must be >= 0")
     if not np.all(arr >= 0.0):  # nan fails the comparison
         raise ParameterError("c_sq must be >= 0")
     return arr
@@ -95,7 +104,7 @@ def _finite(value, name: str) -> float:
 
 def _finite_array(value, name: str) -> np.ndarray:
     """value as a float array, checked to hold only finite reals."""
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, name + " must be finite")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be finite")
     return arr

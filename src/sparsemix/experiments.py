@@ -29,15 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .bfdr import BfdrDiagnostics, BfdrLevel, bfdr_optimality_diagnostics
 from .errors import _MAX, ConfigError, ParameterError, _finite, _level, _positive, call_with_fields
-from .model import (
-    AsymptoticConstants,
-    DerivedParams,
-    Losses,
-    MixtureModel,
-    TestingSetting,
-    _type1,
-    _type2,
-)
+from .model import (AsymptoticConstants, DerivedParams, Losses, MixtureModel, TestingSetting,
+                    _type1, _type2, derive)
 from .montecarlo import McEstimate, mc_run
 from .risk import _diagnostics, _oracle_parts, _risk_parts
 from .rules import (
@@ -149,11 +142,15 @@ _DELTA_RULES = {"constant": ConstantDelta, "decaying": DecayingDelta}
 
 @dataclass(frozen=True)
 class RegimePoint:
-    """One grid point of a regime.
+    """One grid point of a regime: m, p, u and delta, the regime's constants,
+    and the level alpha and replicate count n of rules that take them from it.
 
-    derived is computed once, at construction, which rejects a point whose
-    f or v cannot be represented.  c_finite is log v / u at this point — the
-    finite-m value of the quantity whose declared limit is consts.C.
+    The point builds its testing setting (sigma^2 = 1, tau^2 = u,
+    delta0 = delta, deltaA = 1) and derived = derive(setting) once, at
+    construction, so the setting's checks (p in (0,1), u and delta finite
+    positive reals, m >= 1) and derive's (f and v representable) reject a bad
+    point; a given alpha must lie in (0,1).  c_finite is log v / u at this
+    point — the finite-m value of the quantity whose declared limit is consts.C.
     """
 
     m: float
@@ -163,11 +160,14 @@ class RegimePoint:
     consts: AsymptoticConstants
     alpha: float | None = None
     n: float | None = None
+    setting: TestingSetting = field(init=False, repr=False, compare=False)
     derived: DerivedParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        derived = DerivedParams(u=self.u, f=(1.0 - self.p) / self.p, delta=self.delta)
-        object.__setattr__(self, "derived", derived)
+        model = MixtureModel(p=self.p, sigma_sq=1.0, tau_sq=self.u)
+        setting = TestingSetting(model, Losses(delta0=self.delta, deltaA=1.0), m=self.m)
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "derived", derive(setting))
         if self.alpha is not None:
             _level(self.alpha)
 
@@ -261,13 +261,8 @@ def regime_verge(
 
 
 def point_setting(point: RegimePoint) -> TestingSetting:
-    """Materialize a regime point as a concrete testing setting (sigma = 1,
-    deltaA = 1, so tau^2 = u and delta0 = delta)."""
-    return TestingSetting(
-        model=MixtureModel(p=point.p, sigma_sq=1.0, tau_sq=point.u),
-        losses=Losses(delta0=point.delta, deltaA=1.0),
-        m=point.m,
-    )
+    """point.setting, kept public while the benchmark's per-layer metrics name it."""
+    return point.setting
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +452,15 @@ def _bo_bh_gap(point: RegimePoint) -> float:
     return 2.0 * math.log(math.log(1.0 / point.p)) + 2.0 * math.log(point.alpha)
 
 
-def _row(
-    point: RegimePoint, setting: TestingSetting, c_sq: float, estimate: McEstimate | None = None
-) -> ConvergenceRow:
+def _row(point: RegimePoint, c_sq: float, estimate: McEstimate | None = None) -> ConvergenceRow:
     """The table row at one point.  The rule's risk is exact at c_sq unless a
     Monte-Carlo estimate is given; c_sq is nan for a rule without a fixed
     threshold.  The error rates at c_sq feed both the risk and etr/efr.
 
-    The point and setting are already checked, so every cell comes from the
-    float kernels behind risk_from_rates, optimal_risk_exact and
+    The point and its setting are already checked, so every cell comes from
+    the float kernels behind risk_from_rates, optimal_risk_exact and
     optimality_diagnostics, with the bits those functions give."""
-    d = point.derived
+    setting, d = point.setting, point.derived
     u, log_v = d.u, d.log_v
     if math.isnan(c_sq):
         t1 = t2 = math.nan
@@ -513,20 +506,16 @@ def run_convergence(
     rows: list[ConvergenceRow] = []
     for index, point in enumerate(regime.points()):
         concrete = fill_rule(rule, alpha=point.alpha, n=point.n)
-        setting = point_setting(point)
         if mode == "exact":
             if not is_fixed_threshold(concrete):
                 raise ParameterError(
                     "exact mode requires a fixed-threshold rule; "
                     "the step-up procedure needs mode='mc'"
                 )
-            rows.append(_row(point, setting, float(threshold_sq(concrete, setting))))
+            rows.append(_row(point, float(threshold_sq(concrete, point.setting))))
         else:
-            report = mc_run(setting, concrete, opts.reps, seed=(int(opts.seed), index))
-            c_sq = (
-                float(threshold_sq(concrete, setting))
-                if is_fixed_threshold(concrete)
-                else math.nan
-            )
-            rows.append(_row(point, setting, c_sq, report.risk))
+            report = mc_run(point.setting, concrete, opts.reps, seed=(int(opts.seed), index))
+            fixed = is_fixed_threshold(concrete)
+            c_sq = float(threshold_sq(concrete, point.setting)) if fixed else math.nan
+            rows.append(_row(point, c_sq, report.risk))
     return rows

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import _MAX, ParameterError, _finite_array, _positive
+from .errors import _MAX, ParameterError, _finite_array, _float_array, _positive
 
 __all__ = [
     "phi",
@@ -75,7 +75,7 @@ def Phi_inv(q):
     """
     if type(q) is float:
         return _phi_inv_float(q)
-    arr = np.asarray(q, dtype=float)
+    arr = _float_array(q, "q must be finite")
     # One pass for each end of the range; nan propagates to both.
     lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
     if not (0.0 < lo and hi < 1.0):

@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, _at_least_one, _count, _finite, _finite_array, _level, _positive
+from .errors import (ParameterError, _at_least_one, _count, _finite, _finite_array, _float_array,
+                     _level, _positive)
 from .model import Losses, ThresholdSq
 from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
 
@@ -158,7 +159,7 @@ def bh_reject(pvals, alpha: float) -> RejectionResult:
     qualifies.
     """
     alpha = _level(alpha)
-    arr = np.asarray(pvals, dtype=float)
+    arr = _float_array(pvals, "p-values must lie in [0, 1]")
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("pvals must be a nonempty 1-d array")
     # NaN fails both comparisons, since min and max propagate it.

@@ -36,7 +36,6 @@ from sparsemix import (
     optimal_risk_exact,
     oracle_threshold_sq,
     oracle_threshold_sq_raw,
-    point_setting,
     preset,
     run_convergence,
     threshold_gap_study,
@@ -186,7 +185,7 @@ def test_05_level_rule_convergence_and_expansions():
         diffs = []
         for pt in replace(regime, t_grid=grid).points():
             level = BfdrLevel(pt.alpha)
-            exact = float(bfdr_threshold(point_setting(pt).model, level))
+            exact = float(bfdr_threshold(MixtureModel(p=pt.p, sigma_sq=1.0, tau_sq=pt.u), level))
             approx = float(bfdr_threshold_asymptotic(pt.derived.f, level, pt.consts))
             diffs.append(abs(exact - approx))
         assert all(b < a for a, b in zip(diffs, diffs[1:])), name

@@ -33,6 +33,7 @@ from sparsemix import (
     MixtureModel,
     ParameterError,
     Phi,
+    Phi_inv,
     Phi_tail,
     PowerSparsity,
     RegimePoint,
@@ -86,8 +87,7 @@ OUTSIDE = {
     "at_least_one": _NONFINITE + _NONPOSITIVE + [0.5],
     "c_sq": [math.nan, -math.inf, HUGE, -HUGE, -1.0, -1, -1e-300],
     "finite": _NONFINITE,
-    # An int beyond the float range is still numpy's OverflowError here.
-    "finite_array": [math.nan, math.inf, -math.inf],
+    "finite_array": _NONFINITE,
 }
 
 
@@ -103,6 +103,8 @@ POSITIVE = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000))
 AT_LEAST_ONE = st.one_of(st.floats(1.0, 1e12), st.integers(1, 10**6))
 C_SQ = st.one_of(st.floats(0.0, 1e4), st.integers(0, 10**4), st.just(math.inf))
 FINITE = st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000))
+# A regime point's p keeps f = (1 - p) / p finite: at p = 5e-324, f overflows.
+POINT_P = st.floats(1e-300, 1.0, exclude_max=True)
 
 MODEL = MixtureModel(p=0.01, sigma_sq=1.0, tau_sq=9.0)
 CONSTS = AsymptoticConstants(1.0)
@@ -132,6 +134,7 @@ ENTRIES = {
     "BhRule": ("level", "alpha", lambda a: BhRule(alpha=a), LEVEL),
     "fill_rule": ("level", "alpha", lambda a: fill_rule(BfdrRule(), alpha=a), LEVEL),
     "RegimePoint.alpha": ("level", "alpha", lambda a: _point(alpha=a), LEVEL),
+    "RegimePoint.p": ("level", "p", lambda p: _point(p=p), POINT_P),
     "bh_conditional_ev_bound": ("level", "alpha", lambda a: bh_conditional_ev_bound(a, 3), LEVEL),
     "MixtureModel.p": ("level", "p", lambda p: MixtureModel(p, 1.0, 1.0), LEVEL),
     # Finite positive reals.
@@ -161,6 +164,7 @@ ENTRIES = {
     "normal_tail_approx": ("positive", "c", normal_tail_approx, POSITIVE),
     # Reals >= 1.
     "TestingSetting.m": ("at_least_one", "m", lambda m: TestingSetting(MODEL, Losses(1.0, 1.0), m), AT_LEAST_ONE),
+    "RegimePoint.m": ("at_least_one", "m", lambda m: _point(m=m), AT_LEAST_ONE),
     "bonferroni_threshold.m": ("at_least_one", "m", lambda m: bonferroni_threshold(m, 0.1), AT_LEAST_ONE),
     "bonferroni_threshold_asymptotic.m": (
         "at_least_one", "m", lambda m: bonferroni_threshold_asymptotic(m, 0.1), AT_LEAST_ONE),
@@ -190,6 +194,18 @@ ENTRIES = {
     "Phi_tail": ("finite_array", "x", Phi_tail, FINITE),
     # The oracle_threshold_sq alternative to v.
     "oracle_threshold_sq.log_v": ("finite", "log_v", lambda lv: oracle_threshold_sq(4.0, log_v=lv), FINITE),
+}
+
+
+# (message, entry point of one array argument): an element outside the domain,
+# a Python int beyond the float range included, raises that message.
+ARRAY_ENTRIES = {
+    "bh_reject": ("p-values must lie in [0, 1]", lambda a: bh_reject(a, 0.1)),
+    "Phi_inv": ("q must be finite", Phi_inv),
+    "type1_exact": ("c_sq must be >= 0", type1_exact),
+    "type2_exact": ("c_sq must be >= 0", lambda a: type2_exact(a, 4.0)),
+    "pvalues": ("x must be finite", lambda a: pvalues(a, 1.0)),
+    "phi": ("x must be finite", phi),
 }
 
 
@@ -223,6 +239,15 @@ def test_one_error_and_one_message_per_quantity(entry, data):
     result = _bits(call(good))
     assert _bits(call(float(good))) == result
     assert _bits(call(np.float64(good))) == result
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRIES))
+@pytest.mark.parametrize("bad", [math.nan, HUGE, -HUGE], ids=["nan", "HUGE", "-HUGE"])
+def test_one_error_and_one_message_per_array_argument(entry, bad):
+    message, call = ARRAY_ENTRIES[entry]
+    with pytest.raises(ParameterError) as info:
+        call([0.25, bad])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("call", [

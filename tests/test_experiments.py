@@ -26,7 +26,9 @@ from sparsemix import (
     FixedThresholdRule,
     GwRule,
     LogVRule,
+    Losses,
     McOptions,
+    MixtureModel,
     OracleRule,
     ConfigError,
     ParameterError,
@@ -34,6 +36,7 @@ from sparsemix import (
     Regime,
     RegimePoint,
     ReplicateRule,
+    TestingSetting,
     UniversalRule,
     bfdr_optimality_diagnostics,
     derive,
@@ -171,13 +174,13 @@ def test_regime_verge_validation():
 
 
 def test_regime_point_rejects_inconsistent_derived():
-    """derived and c_finite are computed from the point, so neither can be
-    passed in, and they cannot disagree with it."""
+    """setting, derived and c_finite are computed from the point, so none can
+    be passed in, and they cannot disagree with it."""
     u, p, delta = 10.0, 0.01, 1.0
     consts = AsymptoticConstants(1.0)
     point = RegimePoint(m=100.0, p=p, u=u, delta=delta, consts=consts)
     assert point.derived == DerivedParams(u=u, f=(1.0 - p) / p, delta=delta)
-    for extra in ({"derived": point.derived}, {"c_finite": point.c_finite}):
+    for extra in ({"derived": point.derived}, {"setting": point.setting}, {"c_finite": point.c_finite}):
         with pytest.raises(TypeError):
             RegimePoint(m=100.0, p=p, u=u, delta=delta, consts=consts, **extra)
 
@@ -224,13 +227,17 @@ def test_regime_rejects_p_outside_unit_interval():
 def test_point_setting_materialization():
     regime = regime_verge(2.0, PowerSparsity(kappa=0.5), DecayingDelta(), t_grid=(1e4,))
     point = regime.points()[0]
-    setting = point_setting(point)
+    setting = point.setting
+    assert point_setting(point) is setting
     assert setting.model.sigma_sq == 1.0
     assert setting.model.tau_sq == pytest.approx(point.u, rel=1e-15)
     assert setting.model.p == pytest.approx(point.p, rel=1e-15)
     assert setting.losses.delta0 == pytest.approx(point.delta, rel=1e-15)
     assert setting.losses.deltaA == 1.0
     assert setting.m == point.m
+    for name in PRESET_NAMES:
+        for pt in preset(name)[0].points():
+            assert pt.derived == derive(pt.setting)
 
 
 # -----------------------------------------------------------------------
@@ -388,7 +395,8 @@ def _reference_rows(regime, rule) -> list[ConvergenceRow]:
     quantity: every point first, then each point's rule and threshold."""
     rows = []
     for point in regime.points():
-        setting = point_setting(point)
+        setting = TestingSetting(MixtureModel(p=point.p, sigma_sq=1.0, tau_sq=point.u),
+                                 Losses(delta0=point.delta, deltaA=1.0), m=point.m)
         c_sq = float(threshold_sq(fill_rule(rule, alpha=point.alpha, n=point.n), setting))
         risk = fixed_threshold_risk(setting, c_sq).total
         opt = optimal_risk_exact(setting).total

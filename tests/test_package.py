@@ -3,6 +3,8 @@ no module importing a name it never uses."""
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import sparsemix
@@ -103,3 +105,13 @@ def test_only_montecarlo_knows_about_worker_threads():
             ):
                 readers.append(path.name)
     assert sorted(set(readers)) == ["montecarlo.py"]
+
+
+def test_the_cli_does_not_load_scipy_stats():
+    """A cold import of the CLI loads scipy.special but not scipy.stats, which
+    would add about 0.5 s to it: tails such as the binomial's come from
+    scipy.special."""
+    code = f"import sys; sys.path[:] = {sys.path!r}; import sparsemix.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert "'scipy.special'" in loaded
+    assert "'scipy.stats'" not in loaded
