@@ -15,9 +15,8 @@ output (CSV or sidecar) may afterwards hold the old bytes cut to the new
 length, or a mix of the old and the new run, and the sidecar may describe
 another run than the CSV.  A write that fails (disk full, I/O error) cuts
 the file to nothing.
-Identical invocations produce byte-identical CSV whatever worker count
-SPARSEMIX_WORKERS asks for, the one way a run sets it: threads never touch
-streams or reduction order.
+Identical invocations produce byte-identical CSV: every replicate has its
+own seeded stream, and the replicates run in index order on one thread.
 
 Exit codes: 0 success; 1 domain errors such as a value out of its range
 (module messages surfaced verbatim) and unwritable outputs; 2 flag or
@@ -78,9 +77,9 @@ __all__ = ["main", "build_parser", "ConfigError"]
 # rule it draws fewer than 128 p-values per step of its walk, and never
 # more than its first tail: up to about 18 bytes per test at a level near
 # 1.  A run keeps six floats per replicate in one table, so at the bounds a
-# run needs up to 1.8 GB per worker for its draws and 48 MB for its
-# statistics.  Exact-mode grid points need no sampling, so only the grid
-# length bounds them.
+# run needs up to 1.8 GB for its draws and 48 MB for its statistics.
+# Exact-mode grid points need no sampling, so only the grid length bounds
+# them.
 MAX_M = 10**8
 MAX_REPS = 10**6
 MAX_GRID_POINTS = 1000
@@ -491,7 +490,9 @@ def cmd_convergence(args) -> int:
     if mode is None:
         mode = "exact" if is_fixed_threshold(rule) else "mc"
     if mode == "mc":
-        _at_most("grid", max(point.m for point in regime.points()), MAX_M, "tests per point")
+        # Every regime here is regime_verge's, whose points have m = t on a
+        # strictly increasing grid, so the last point is the largest.
+        _at_most("grid", regime.t_grid[-1], MAX_M, "tests per point")
         mc, out = _run_options(cfg, args, 400, echo)
     else:
         for key in ("reps", "seed"):  # refused, not echoed and ignored

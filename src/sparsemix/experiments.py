@@ -497,8 +497,7 @@ def run_convergence(
     Exact mode covers every fixed-threshold rule via closed forms; the
     step-up procedure has no fixed threshold and requires mc mode, where
     risk is estimated with McOptions replication (per-point streams derived
-    from (seed, grid index)) on the worker threads that SPARSEMIX_WORKERS
-    asks for.
+    from (seed, grid index)).
     """
     if mode not in ("exact", "mc"):
         raise ParameterError(f"mode must be 'exact' or 'mc', got {mode!r}")

@@ -164,15 +164,12 @@ class DerivedParams:
     log_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _positive(self.u, "u")
-        _positive(self.f, "f")
-        _positive(self.delta, "delta")
-        v = self.u * self.f * self.f * self.delta * self.delta
+        # Python floats, so v overflows to inf without numpy's warning.
+        u, f, delta = _positive(self.u, "u"), _positive(self.f, "f"), _positive(self.delta, "delta")
+        v = u * f * f * delta * delta
         _require(v > 0.0, "v = u * f^2 * delta^2 underflows to 0")
         object.__setattr__(self, "v", v)
-        object.__setattr__(
-            self, "log_v", math.log(self.u) + 2.0 * math.log(self.f) + 2.0 * math.log(self.delta)
-        )
+        object.__setattr__(self, "log_v", math.log(u) + 2.0 * math.log(f) + 2.0 * math.log(delta))
 
     @property
     def t_uvd(self) -> float:

@@ -3,15 +3,11 @@
 Determinism contract: every replicate i draws from its own generator seeded
 by SeedSequence(master_seed, spawn_key=(i,)), writes its statistics into
 column i of one preallocated table with a row per statistic, and the final
-reduction runs along the rows of that table, each in index order.  Worker
-threads only choose *which* columns they fill, never the stream or the
-order of the reduction, so reports are bit-identical for any worker count.
-The worker count is workers= of mc_run and mc_conditional_k, else the
-SPARSEMIX_WORKERS environment variable, else 1; the CLI and
-threshold_gap_study have only the environment variable.  A replicate is a
-few scalar draws in Python and holds the GIL, so more threads mostly add
-their start-up cost.  At most one thread per usable CPU and per replicate
-is started, whatever the count asked for.
+reduction runs along the rows of that table, each in index order.  The
+replicates run in index order on the calling thread: one is a few scalar
+draws in Python that hold the GIL, so threads would only add their
+start-up cost.  workers= of mc_run and mc_conditional_k is checked to be
+an integer >= 1 and has no effect.
 
 Stream 3: a replicate draws only the tail that a rule can reject.  Every
 rule here sees the data through its p-values, which are i.i.d. U(0,1)
@@ -73,8 +69,6 @@ costs, not its law, so they are the full draw's: no variance reduction.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,42 +162,13 @@ class GapStudy:
 
 
 def default_workers() -> int:
-    """SPARSEMIX_WORKERS when set, else 1: a replicate holds the GIL, so
-    more threads only add their start-up cost."""
-    raw = os.environ.get("SPARSEMIX_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = raw  # not a count: _count names it
-    return _count(workers, "SPARSEMIX_WORKERS", 1)
+    """1: the replicates run on the calling thread.  Kept public while the
+    benchmark's per-layer metrics name it."""
+    return 1
 
 
 def _replicate_rng(seed, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _parallel_fill(fill, reps: int, workers: int | None) -> None:
-    """fill(lo, hi) over spans of the replicates."""
-    w = default_workers() if workers is None else _count(workers, "workers", 1)
-    # More threads than CPUs or than replicates only add overhead; the
-    # reports do not depend on the count.
-    w = min(w, _usable_cpus(), reps)
-    if w <= 1:
-        fill(0, reps)
-        return
-    step = -(-reps // w)
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        for future in [pool.submit(fill, lo, min(lo + step, reps)) for lo in range(0, reps, step)]:
-            future.result()
 
 
 @dataclass(frozen=True)
@@ -329,22 +294,21 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
     table = np.empty((len(names), reps))
     loss, fdp, any_false, v_count, tdp, *gap_row = table  # row views
     gaps = gap_row[0] if gap_row else None
+    if workers is not None:
+        _count(workers, "workers", 1)  # checked, with no effect
 
-    def fill(lo: int, hi: int) -> None:
-        # V, S and K are counts by construction (0 <= S <= K, 0 <= V <= m - K).
-        for i in range(lo, hi):
-            v, s, signals, crit = _replicate_counts(tail, _replicate_rng(seed, i), k)
-            rejected = v + s
-            loss[i] = delta0 * v + deltaA * (signals - s)
-            fdp[i] = v / rejected if rejected > 0 else 0.0
-            any_false[i] = 1.0 if v > 0 else 0.0
-            v_count[i] = v
-            tdp[i] = s / signals if signals > 0 else 0.0
-            if gaps is not None:
-                bh_z = min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, alpha))))
-                gaps[i] = abs(bh_z - gw_z)
-
-    _parallel_fill(fill, reps, workers)
+    # V, S and K are counts by construction (0 <= S <= K, 0 <= V <= m - K).
+    for i in range(reps):
+        v, s, signals, crit = _replicate_counts(tail, _replicate_rng(seed, i), k)
+        rejected = v + s
+        loss[i] = delta0 * v + deltaA * (signals - s)
+        fdp[i] = v / rejected if rejected > 0 else 0.0
+        any_false[i] = 1.0 if v > 0 else 0.0
+        v_count[i] = v
+        tdp[i] = s / signals if signals > 0 else 0.0
+        if gaps is not None:
+            bh_z = min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, alpha))))
+            gaps[i] = abs(bh_z - gw_z)
     return table
 
 
@@ -354,7 +318,8 @@ def _report(table: np.ndarray) -> McReport:
 
 def mc_run(setting: TestingSetting, rule: Rule, reps, seed, workers: int | None = None) -> McReport:
     """Estimate risk, FDR, FWER, E(V) and the true-discovery proportion of a
-    rule by simulation from the mixture."""
+    rule by simulation from the mixture.  workers is checked and has no
+    effect: the replicates run on the calling thread."""
     return _report(_replicates(setting, rule, reps, seed, workers))
 
 
@@ -375,8 +340,7 @@ def threshold_gap_study(setting: TestingSetting, alpha: float, reps, seed, epsil
     c_GW at the same level: mean/median gap and P(gap > epsilon).
 
     epsilon = +inf is an allowed marker and forces exceed_frac = 0.
-    It draws the same replicates as mc_run with BhRule(alpha), on the
-    worker threads that SPARSEMIX_WORKERS asks for.
+    It draws the same replicates as mc_run with BhRule(alpha).
     """
     reps = _count(reps, "reps", 2)
     if not (0.0 < epsilon <= _MAX or epsilon == math.inf):

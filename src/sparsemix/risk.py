@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import _MAX, ParameterError, _c_sq
 from .model import (
     AsymptoticConstants,
-    DerivedParams,
     TestingSetting,
     _oracle_c_sq,
     _type1,
@@ -89,14 +88,13 @@ def fixed_threshold_risk(setting: TestingSetting, c_sq) -> RiskBreakdown:
     return risk_from_rates(setting, type1_exact(c_sq), type2_exact(c_sq, setting.model.u))
 
 
-def optimal_risk_exact(setting: TestingSetting, derived: DerivedParams | None = None) -> RiskBreakdown:
+def optimal_risk_exact(setting: TestingSetting) -> RiskBreakdown:
     """Risk of the Bayes oracle: fixed_threshold_risk at the oracle threshold.
 
     In the degenerate case the threshold is 0 (reject everything) and the
-    risk is m (1-p) delta0 by construction.  A caller that holds
-    derive(setting) already passes it as derived.
+    risk is m (1-p) delta0 by construction.
     """
-    d = derive(setting) if derived is None else derived
+    d = derive(setting)
     return RiskBreakdown(*_oracle_parts(setting, d.u, d.log_v))
 
 

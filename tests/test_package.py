@@ -84,27 +84,27 @@ def test_csv_cells_are_formatted_only_in_cli():
 
 
 def test_only_montecarlo_knows_about_worker_threads():
-    """SPARSEMIX_WORKERS is the one way a CLI run asks for threads: no
-    subcommand has --workers, and only montecarlo starts threads or reads
-    the variable."""
+    """Nothing starts threads or asks for a worker count: no module imports
+    concurrent.futures or threading or holds the string SPARSEMIX_WORKERS
+    (a docstring may still name it), and no subcommand has --workers."""
     from sparsemix import cli
 
     subcommands = next(action for action in cli.build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction)).choices
     assert [name for name, par in subcommands.items() if "--workers" in par._option_string_actions] == []
-    readers = []
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             imports = (
                 [alias.name for alias in node.names] if isinstance(node, ast.Import)
-                else [node.module] if isinstance(node, ast.ImportFrom)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
                 else []
             )
-            if "concurrent.futures" in imports or (
-                isinstance(node, ast.Constant) and node.value == "SPARSEMIX_WORKERS"
-            ):
-                readers.append(path.name)
-    assert sorted(set(readers)) == ["montecarlo.py"]
+            found += [f"{path.name}: import {name}" for name in imports
+                      if name.partition(".")[0] in ("concurrent", "threading")]
+            if isinstance(node, ast.Constant) and node.value == "SPARSEMIX_WORKERS":
+                found.append(f"{path.name}: SPARSEMIX_WORKERS")
+    assert found == []
 
 
 def test_the_cli_does_not_load_scipy_stats():
