@@ -139,20 +139,22 @@ def _write_text(path: Path, text: str) -> None:
     """Path.write_text without O_TRUNC: write over the old bytes, then cut a
     regular file to the new length (a device such as /dev/null cannot be
     cut).  If the write fails, a regular file is cut to nothing, so old
-    bytes never follow new ones."""
+    bytes never follow new ones.  The text is encoded as UTF-8 once and
+    written with os.write, which may take fewer bytes than it is given."""
+    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
-            # Closing the wrapper flushes it; it is closed even if that fails.
-            with open(fd, "w", closefd=False) as file:
-                file.write(text)
+            left = memoryview(data)
+            while left:
+                left = left[os.write(fd, left) :]
         except BaseException:
             if regular:
                 os.ftruncate(fd, 0)
             raise
         if regular:
-            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 

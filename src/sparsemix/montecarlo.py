@@ -77,7 +77,7 @@ from scipy import special
 from .bfdr import BfdrLevel, gw_threshold
 from .errors import _MAX, ParameterError, _count, _level
 from .model import TestingSetting
-from .normal import _SQRT2, Phi_inv_upper, _z_of_pvalue
+from .normal import _SQRT2, _phi_inv_lower, _z_of_pvalue
 from .procedures import _critical_pvalue, _step_up_threshold, bonferroni_threshold
 from .rules import BhRule, Rule, _need_alpha, threshold_sq
 
@@ -103,7 +103,7 @@ STREAM = 3
 _STEP_COST = 128
 
 
-# Values per np.std call in McEstimate.from_rows (512 kB of temporary).
+# Squared deviations per block in McEstimate.from_rows (512 kB of temporary).
 _STD_BLOCK = 1 << 16
 
 
@@ -124,19 +124,32 @@ class McEstimate:
 
     @classmethod
     def from_rows(cls, table: np.ndarray) -> list["McEstimate"]:
-        """One estimate per row of a 2-D table, with the bits its row would
-        get alone.  The means take one pass along the rows; the standard
-        deviations take blocks of rows, whose temporary copy holds at most
-        _STD_BLOCK values or one row."""
+        """One estimate per row of a 2-D table, with the bits np.mean and
+        np.std(ddof=1) give its row alone.  A block of rows takes one sum
+        along its rows, which gives both the means and the centres of the
+        squared deviations; a block's deviations hold at most _STD_BLOCK
+        values or one row."""
+        table = np.asarray(table, dtype=float)
         n = table.shape[1]
         if n < 2:
             raise ParameterError("need at least 2 samples for a standard error")
+        root_n = math.sqrt(n)
         step = max(1, _STD_BLOCK // n)
-        stds = [s for i in range(0, len(table), step) for s in np.std(table[i : i + step], axis=1, ddof=1)]
-        return [
-            cls(mean=float(mean), std_error=float(std / math.sqrt(n)), reps=n)
-            for mean, std in zip(np.mean(table, axis=1), stds)
-        ]
+        estimates = []
+        for i in range(0, len(table), step):
+            block = table[i : i + step]
+            means = np.add.reduce(block, axis=1, keepdims=True)
+            means /= n
+            dev = block - means
+            dev *= dev
+            stds = np.add.reduce(dev, axis=1)
+            stds /= n - 1
+            np.sqrt(stds, out=stds)
+            estimates += [
+                cls(mean=mean, std_error=std / root_n, reps=n)
+                for mean, std in zip(means.ravel().tolist(), stds.tolist())
+            ]
+        return estimates
 
 
 @dataclass(frozen=True)
@@ -228,8 +241,10 @@ def _tail_pvalues(rng: np.random.Generator, n0: int, n1: int, t: float, g: float
     alts *= g / 2.0
     # Where g is subnormal the product can round to 0, outside the quantile's domain.
     np.maximum(alts, 5e-324, out=alts)
-    z = Phi_inv_upper(alts)
-    z *= s / _SQRT2
+    # Phi_inv_upper is -Phi_inv, and these quantiles all lie below 1/2; the
+    # sign goes into the scale, which gives the same bits.
+    z = _phi_inv_lower(alts)
+    z *= -s / _SQRT2
     special.erfc(z, out=alts)
     return tail_p, nulls, alts
 
@@ -307,7 +322,8 @@ def _replicates(setting: TestingSetting, rule: Rule, reps: int, seed, workers, k
         v_count[i] = v
         tdp[i] = s / signals if signals > 0 else 0.0
         if gaps is not None:
-            bh_z = min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, alpha))))
+            # Rejecting nothing realizes the Bonferroni threshold, resolved once.
+            bh_z = bon_z if crit is None else min(bon_z, math.sqrt(float(_step_up_threshold(crit, m, alpha))))
             gaps[i] = abs(bh_z - gw_z)
     return table
 

@@ -81,25 +81,51 @@ def Phi_inv(q):
     if not (0.0 < lo and hi < 1.0):
         _finite_array(arr, "q")
         raise ParameterError("q must lie strictly inside (0, 1)")
-    x = special.ndtri(arr)
-    dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    # resid = Phi(x) - q, formed on the side of 1/2 where q sits; the upper
-    # branch is computed only when some q lies above 1/2.
+    # A 0-d q goes through as one element: the kernels write in place, and
+    # a ufunc gives a 0-d result as a scalar.
+    shape, arr = arr.shape, np.atleast_1d(arr)
     if hi <= 0.5:
-        resid = _resid_lower(x, arr)
+        x = _phi_inv_lower(arr)
     else:
-        resid = np.where(arr <= 0.5, _resid_lower(x, arr), (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2))
-    if dens.min(initial=math.inf) > 1e-300:
-        return _like(x - resid / dens, q)
-    # Skip the step where the density has underflowed (ndtri is already
-    # exact to working precision there).
-    step = np.where(dens > 1e-300, resid / np.where(dens > 0.0, dens, 1.0), 0.0)
-    return _like(x - step, q)
+        x = special.ndtri(arr)
+        upper = (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2)
+        x = _newton_step(x, np.where(arr <= 0.5, _resid_lower(x, arr), upper))
+    return _like(x.reshape(shape), q)
+
+
+def _phi_inv_lower(q: np.ndarray) -> np.ndarray:
+    """Phi_inv of a float array with every q in (0, 1/2], unchecked, as a
+    new array; its temporaries are written in place."""
+    x = special.ndtri(q)
+    return _newton_step(x, _resid_lower(x, q))
 
 
 def _resid_lower(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Phi(x) - q for q <= 1/2."""
-    return 0.5 * special.erfc(-x / _SQRT2) - q
+    """Phi(x) - q for q <= 1/2, as a new array."""
+    resid = np.divide(x, -_SQRT2)
+    special.erfc(resid, out=resid)
+    resid *= 0.5
+    resid -= q
+    return resid
+
+
+def _newton_step(x: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """x - resid / phi(x), in place in x (resid is overwritten), where
+    resid = Phi(x) - q was formed on the side of 1/2 where q sits.  The step
+    is skipped where the density has underflowed (ndtri is already exact to
+    working precision there)."""
+    dens = np.multiply(x, -0.5)
+    dens *= x
+    np.exp(dens, out=dens)
+    dens *= _INV_SQRT_2PI
+    if dens.min(initial=math.inf) > 1e-300:
+        resid /= dens
+    else:
+        live = dens > 1e-300
+        np.divide(resid, dens, out=resid, where=live)
+        resid[~live] = 0.0
+    x -= resid
+    return x
 
 
 def _phi_inv_float(q: float) -> float:

@@ -1162,6 +1162,26 @@ def test_a_failed_write_leaves_no_old_tail_behind_new_bytes(tmp_path):
     assert path.read_bytes() == b""
 
 
+def test_short_writes_go_on_to_the_last_byte(tmp_path, monkeypatch):
+    """os.write may take fewer bytes than it is given: with at most 7 bytes
+    a call, every byte still lands, and the old, longer file is cut to the
+    new length."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"o" * 1000)
+    text = "stat,mean\n" + "risk,0.12345678901234567\n" * 20 + "\u03b1\n"  # a 2-byte character at the end
+    real_write, taken = os.write, []
+
+    def short_write(fd, data):
+        taken.append(real_write(fd, bytes(data[:7])))
+        return taken[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_write)
+        cli._write_text(path, text)
+    assert path.read_bytes() == text.encode()
+    assert sum(taken) == len(text.encode()) and max(taken) == 7
+
+
 def test_writing_to_the_null_device_does_not_cut_it():
     """/dev/null is no regular file: truncating it would raise."""
     cli._write_text(Path(os.devnull), "stat,mean\n")

@@ -38,7 +38,7 @@ from sparsemix import (
     threshold_gap_study,
     threshold_sq,
 )
-from sparsemix.normal import Phi_inv_upper
+from sparsemix.normal import Phi_inv_upper, phi
 
 
 def _setting(p=0.05, u=16.0, m=2000, delta0=1.0, deltaA=1.0):
@@ -386,6 +386,65 @@ def test_walk_has_the_law_of_the_explicit_tail_draw(monkeypatch, p, u, alpha, k,
     assert report.fdr.mean == pytest.approx(walk["FDP"].mean(), rel=1e-12)
     assert report.risk.mean == pytest.approx(walk["loss"].mean(), rel=1e-12)
     assert _walk_endings(monkeypatch, setting, rule, reps, seed=41, k=k) == endings
+
+
+def _frozen_tail_pvalues(rng, n0, n1, t, g, s):
+    """The budget draw as stream 3 first wrote it, with Phi_inv_upper's
+    array path below 1/2 written out: the bits _tail_pvalues must keep."""
+    tail_p = np.empty(n0 + n1)
+    nulls = rng.random(out=tail_p[:n0])
+    nulls *= t
+    alts = rng.random(out=tail_p[n0:])
+    np.subtract(1.0, alts, out=alts)
+    alts *= g / 2.0
+    np.maximum(alts, 5e-324, out=alts)
+    x = special.ndtri(alts)
+    dens = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    resid = 0.5 * special.erfc(-x / math.sqrt(2.0)) - alts
+    z = -(x - np.where(dens > 1e-300, resid / np.where(dens > 0.0, dens, 1.0), 0.0))
+    z *= s / math.sqrt(2.0)
+    special.erfc(z, out=alts)
+    return tail_p
+
+
+# s / sqrt 2 and s * (1 / sqrt 2) round apart at the last scale.
+@pytest.mark.parametrize("s", [1.0005, 5.350796306712539, 14.484731943662144])
+@pytest.mark.parametrize("n0, n1", [(0, 0), (0, 9), (40, 0), (25, 3000)])
+@pytest.mark.parametrize("g", [1.0, 0.37, 1e-20, 1e-290, 1e-303, 1e-310, 1e-321, 5e-324])
+def test_tail_pvalues_keep_their_bits(n0, n1, g, s):
+    """From g = 1 down to subnormal g, where the quantile's density
+    underflows and its Newton step is skipped."""
+    t = 0.0123
+    tail_p, nulls, alts = montecarlo._tail_pvalues(np.random.default_rng(17), n0, n1, t, g, s)
+    want = _frozen_tail_pvalues(np.random.default_rng(17), n0, n1, t, g, s)
+    np.testing.assert_array_equal(tail_p.view(np.int64), want.view(np.int64))
+    assert nulls.base is tail_p and alts.base is tail_p
+    assert (nulls.size, alts.size) == (n0, n1)
+    if g <= 1e-303:  # the largest quantile input's density underflows
+        assert phi(Phi_inv_upper(max(g / 2.0, 5e-324))) <= 1e-300
+
+
+def test_a_run_resolves_the_bonferroni_threshold_once(monkeypatch):
+    """A replicate that rejects nothing realizes the Bonferroni threshold,
+    which the run resolved once, however many replicates reject nothing."""
+    calls = []
+    real = procedures.bonferroni_threshold
+
+    def spy(m, alpha):
+        calls.append((m, alpha))
+        return real(m, alpha)
+
+    monkeypatch.setattr(procedures, "bonferroni_threshold", spy)
+    monkeypatch.setattr(montecarlo, "bonferroni_threshold", spy)
+    setting, rule, reps = _setting(p=1e-3, u=4.0, m=1000), BhRule(alpha=0.05), 40
+    report = mc_run(setting, rule, reps, seed=3)
+    assert calls == [(1000, 0.05)]
+    tail = montecarlo._tail(setting, rule)
+    nothing = sum(
+        montecarlo._replicate_counts(tail, montecarlo._replicate_rng(3, i))[3] is None for i in range(reps)
+    )
+    assert nothing > reps // 2
+    assert report.threshold_gap.reps == reps
 
 
 # The loop reads V, S and K as plain ints, with no ConfusionCounts built per
