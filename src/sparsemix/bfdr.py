@@ -40,7 +40,7 @@ from .model import (
     type1_exact,
     type2_exact,
 )
-from .normal import _INV_SQRT_2PI, _SQRT2
+from .normal import _INV_SQRT_2PI, _SQRT2, _phi_tail_float
 
 __all__ = [
     "BfdrLevel",
@@ -84,16 +84,6 @@ class BfdrDiagnostics:
     t_uvd: float
 
 
-def _tail_half(x: float) -> float:
-    """1 - Phi(x) for x >= 0, full relative accuracy.
-
-    This and the log_ndtr terms below turn scipy's results into Python
-    floats at once: the same IEEE operations follow, without numpy-scalar
-    dispatch in every bisection step.
-    """
-    return 0.5 * float(special.erfc(x / _SQRT2))
-
-
 def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
     """BFDR of the fixed-threshold rule at c^2; 1-p at c^2 = 0, -> 0 as c^2 -> inf."""
     c_sq_f = _c_sq(c_sq)
@@ -102,8 +92,8 @@ def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
         return 0.0
     c = math.sqrt(c_sq_f)
     s = math.sqrt(model.u + 1.0)
-    t1 = 2.0 * _tail_half(c)
-    alt_tail = 2.0 * _tail_half(c / s)  # = 1 - t2
+    t1 = 2.0 * _phi_tail_float(c)
+    alt_tail = 2.0 * _phi_tail_float(c / s)  # = 1 - t2
     if t1 > 0.0:
         num = (1.0 - p) * t1
         return num / (num + p * alt_tail)
@@ -275,8 +265,8 @@ def _gw_value(model: MixtureModel, c: float) -> float:
     (1-Phi(c)) / ((1-p)(1-Phi(c)) + p(1-Phi(c/sqrt(u+1))))."""
     p = model.p
     s = math.sqrt(model.u + 1.0)
-    t0 = _tail_half(c)
-    ta = _tail_half(c / s)
+    t0 = _phi_tail_float(c)
+    ta = _phi_tail_float(c / s)
     den = (1.0 - p) * t0 + p * ta
     if den > 0.0 and t0 > 0.0:
         return t0 / den

@@ -116,8 +116,6 @@ def _numbers(n: int) -> str:
 
 def _show(value) -> str:
     """Shortest round-trip form for stdout echo lines (CSV keeps .17g)."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -188,17 +186,22 @@ def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:
 # Config ingestion.
 
 
-def _load_config(path: str) -> dict:
+def _config(args, allowed) -> dict:
+    """The --config file's object, holding only the allowed top-level
+    fields; {} without --config."""
+    if not args.config:
+        return {}
     try:
-        raw = Path(path).read_text()
+        raw = Path(args.config).read_text()
     except OSError as exc:
-        raise ConfigError("<config>", f"cannot read {path!r}: {exc}") from None
+        raise ConfigError("<config>", f"cannot read {args.config!r}: {exc}") from None
     try:
         data = json.loads(raw)
     except ValueError as exc:  # also an integer literal beyond int's digit limit
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
+    _reject_unknown(data, allowed)
     return data
 
 
@@ -246,14 +249,10 @@ _SETTING_KEYS = _parameters(_setting)[0]
 
 
 def _setting_echo(setting: TestingSetting) -> dict:
-    return {
-        "p": setting.model.p,
-        "sigma_sq": setting.model.sigma_sq,
-        "tau_sq": setting.model.tau_sq,
-        "delta0": setting.losses.delta0,
-        "deltaA": setting.losses.deltaA,
-        "m": setting.m,
-    }
+    """The fields of the setting's model and losses, and its m.  Neither
+    value object stores anything but its fields, and vars() costs a
+    twentieth of dataclasses.asdict."""
+    return {**vars(setting.model), **vars(setting.losses), "m": setting.m}
 
 
 _RULE_FLAG_KEYS = ("alpha", "c_sq", "d", "n")
@@ -348,38 +347,38 @@ def _output(cfg: dict, args, echo: dict) -> str | None:
 # Subcommands.
 
 
-def _alpha(args) -> BfdrLevel:
-    if args.alpha is None:
-        args.parser.error("--alpha is required for this rule")
-    return BfdrLevel(args.alpha)
-
-
-def _n(args) -> float:
-    if args.n is None:
-        args.parser.error("--n is required for the replicate rule")
-    return args.n
+def _required(args, key: str):
+    """The --key flag's value, which a selected rule cannot do without."""
+    value = getattr(args, key)
+    if value is None:
+        args.parser.error(f"--{key} is required for this rule")
+    return value
 
 
 _MIXTURE_KEYS = ("p", "u", "tau_sq", "sigma_sq")
-# Each threshold rule, in the order the rules print: the flags it reads, and
-# its c^2 from the setting s, m, d and the flags.
+# Each threshold rule, in the order the rules print: the help of its flag,
+# the flags it reads, and its c^2 from the setting s, m, d and the flags.
 _THRESHOLDS = {
-    "oracle": ((*_MIXTURE_KEYS, "delta", "delta0", "deltaA"),
+    "oracle": ("Bayes-oracle threshold", (*_MIXTURE_KEYS, "delta", "delta0", "deltaA"),
                lambda s, m, d, args: oracle_threshold_sq_raw(s.model, s.losses)),
-    "bfdr": ((*_MIXTURE_KEYS, "alpha"), lambda s, m, d, args: bfdr_threshold(s.model, _alpha(args))),
-    "gw": ((*_MIXTURE_KEYS, "alpha"), lambda s, m, d, args: gw_threshold(s.model, _alpha(args))),
-    "bonferroni": (("m", "alpha"), lambda s, m, d, args: bonferroni_threshold(m, _alpha(args).alpha)),
-    "universal": (("m", "d"), lambda s, m, d, args: universal_threshold(m, d)),
-    "replicate": (("m", "n", "d"), lambda s, m, d, args: replicate_threshold(m, _n(args), d)),
+    "bfdr": ("threshold with Bayesian FDR equal to --alpha", (*_MIXTURE_KEYS, "alpha"),
+             lambda s, m, d, args: bfdr_threshold(s.model, BfdrLevel(_required(args, "alpha")))),
+    "gw": ("fixed-point threshold tracking the step-up rule", (*_MIXTURE_KEYS, "alpha"),
+           lambda s, m, d, args: gw_threshold(s.model, BfdrLevel(_required(args, "alpha")))),
+    "bonferroni": ("Bonferroni threshold at --alpha", ("m", "alpha"),
+                   lambda s, m, d, args: bonferroni_threshold(
+                       m, BfdrLevel(_required(args, "alpha")).alpha)),
+    "universal": ("2 log m + d", ("m", "d"), lambda s, m, d, args: universal_threshold(m, d)),
+    "replicate": ("log n + 2 log m + d", ("m", "n", "d"),
+                  lambda s, m, d, args: replicate_threshold(m, _required(args, "n"), d)),
 }
 
 
 def cmd_threshold(args) -> int:
     selected = [name for name in _THRESHOLDS if getattr(args, name)]
     if not selected:
-        args.parser.error("select at least one rule "
-                          "(--oracle/--bfdr/--gw/--bonferroni/--universal/--replicate)")
-    read = {key for name in selected for key in _THRESHOLDS[name][0]}
+        args.parser.error(f"select at least one rule ({'/'.join('--' + name for name in _THRESHOLDS)})")
+    read = {key for name in selected for key in _THRESHOLDS[name][1]}
     echo = []
     for attr in (*_SETTING_KEYS, "alpha", "n", "d"):
         value = getattr(args, attr)
@@ -395,15 +394,14 @@ def cmd_threshold(args) -> int:
                if "p" in read else None)
     m = 1.0 if args.m is None else args.m
     d = 0.0 if args.d is None else args.d
-    results = [(name, _THRESHOLDS[name][1](setting, m, d, args)) for name in selected]
+    results = [(name, _THRESHOLDS[name][2](setting, m, d, args)) for name in selected]
     for name, c_sq in results:
         print(f"{name:<11} c_sq={_show(float(c_sq))}  z={_show(c_sq.z)}")
     return 0
 
 
 def cmd_risk(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    _reject_unknown(cfg, ("setting", "c_sq", "out"))
+    cfg = _config(args, ("setting", "c_sq", "out"))
     setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
     setting = call_with_fields(_setting, setting_cfg, "setting.")
     c_sq_value = _flag_or_field(args, cfg, "c_sq", float)
@@ -433,9 +431,7 @@ def cmd_risk(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    _reject_unknown(cfg, ("preset", "overrides", "setting", "rule", "m",
-                          "reps", "seed", "out"))
+    cfg = _config(args, ("preset", "overrides", "setting", "rule", "m", "reps", "seed", "out"))
     echo: dict = {}
     regime, rule = _preset_and_rule(cfg, args, echo)
     m = _flag_or_field(args, cfg, "m", float)
@@ -470,9 +466,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    _reject_unknown(cfg, ("preset", "overrides", "regime", "rule", "mode",
-                          "grid", "reps", "seed", "out"))
+    cfg = _config(args, ("preset", "overrides", "regime", "rule", "mode", "grid", "reps", "seed", "out"))
     echo: dict = {}
     regime, rule = _preset_and_rule(cfg, args, echo)
     if regime is None:
@@ -557,15 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     par = sub.add_parser("threshold", help="print c^2 and |Z|-scale thresholds")
-    for flag, help_text in (
-        ("--oracle", "Bayes-oracle threshold"),
-        ("--bfdr", "threshold with Bayesian FDR equal to --alpha"),
-        ("--gw", "fixed-point threshold tracking the step-up rule"),
-        ("--bonferroni", "Bonferroni threshold at --alpha"),
-        ("--universal", "2 log m + d"),
-        ("--replicate", "log n + 2 log m + d"),
-    ):
-        par.add_argument(flag, action="store_true", help=help_text)
+    for name, (help_text, _, _) in _THRESHOLDS.items():
+        par.add_argument("--" + name, action="store_true", help=help_text)
     _add_setting_flags(par)
     par.add_argument("--m", type=float, help="number of tests (default 1)")
     par.add_argument("--alpha", type=float, help="level for --bfdr/--gw/--bonferroni")

@@ -37,6 +37,7 @@ from .rules import (
     BfdrRule,
     BhRule,
     BonferroniRule,
+    FixedThresholdRule,
     GwRule,
     LogVRule,
     ReplicateRule,
@@ -505,16 +506,17 @@ def run_convergence(
     rows: list[ConvergenceRow] = []
     for index, point in enumerate(regime.points()):
         concrete = fill_rule(rule, alpha=point.alpha, n=point.n)
-        if mode == "exact":
-            if not is_fixed_threshold(concrete):
-                raise ParameterError(
-                    "exact mode requires a fixed-threshold rule; "
-                    "the step-up procedure needs mode='mc'"
-                )
-            rows.append(_row(point, float(threshold_sq(concrete, point.setting))))
-        else:
-            report = mc_run(point.setting, concrete, opts.reps, seed=(int(opts.seed), index))
-            fixed = is_fixed_threshold(concrete)
-            c_sq = float(threshold_sq(concrete, point.setting)) if fixed else math.nan
-            rows.append(_row(point, c_sq, report.risk))
+        fixed = is_fixed_threshold(concrete)
+        if mode == "exact" and not fixed:
+            raise ParameterError(
+                "exact mode requires a fixed-threshold rule; "
+                "the step-up procedure needs mode='mc'"
+            )
+        c_sq = float(threshold_sq(concrete, point.setting)) if fixed else math.nan
+        estimate = None
+        if mode == "mc":
+            # The replicates read the c^2 solved here, not a second solve.
+            simulated = FixedThresholdRule(c_sq) if fixed else concrete
+            estimate = mc_run(point.setting, simulated, opts.reps, seed=(int(opts.seed), index)).risk
+        rows.append(_row(point, c_sq, estimate))
     return rows

@@ -59,9 +59,16 @@ def Phi_tail(x):
     double as the array path, so the same bits, without the array machinery.
     """
     if type(x) is float and -_MAX <= x <= _MAX:
-        return 0.5 * float(special.erfc(x / _SQRT2))
+        return _phi_tail_float(x)
     arr = _finite_array(x, "x")
     return _like(0.5 * special.erfc(arr / _SQRT2), x)
+
+
+def _phi_tail_float(x: float) -> float:
+    """Phi_tail of a Python float, unchecked.  scipy's result becomes a
+    Python float at once, so the IEEE operations that follow (every step of
+    a bisection, say) run without numpy-scalar dispatch."""
+    return 0.5 * float(special.erfc(x / _SQRT2))
 
 
 def Phi_inv(q):
@@ -84,12 +91,9 @@ def Phi_inv(q):
     # A 0-d q goes through as one element: the kernels write in place, and
     # a ufunc gives a 0-d result as a scalar.
     shape, arr = arr.shape, np.atleast_1d(arr)
-    if hi <= 0.5:
-        x = _phi_inv_lower(arr)
-    else:
-        x = special.ndtri(arr)
-        upper = (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2)
-        x = _newton_step(x, np.where(arr <= 0.5, _resid_lower(x, arr), upper))
+    x = special.ndtri(arr)
+    upper = (1.0 - arr) - 0.5 * special.erfc(x / _SQRT2)
+    x = _newton_step(x, np.where(arr <= 0.5, _resid_lower(x, arr), upper))
     return _like(x.reshape(shape), q)
 
 

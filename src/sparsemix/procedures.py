@@ -184,12 +184,11 @@ def fixed_threshold_reject(x, sigma: float, c_sq) -> RejectionResult:
 
 
 def bonferroni_threshold(m, alpha: float) -> ThresholdSq:
-    """c^2 = (Phi^{-1}(1 - alpha/(2m)))^2, or 0 when alpha/(2m) >= 1/2."""
+    """c^2 = (Phi^{-1}(1 - alpha/(2m)))^2.  The checks give alpha < 1 and
+    m >= 1, so alpha/(2m) < 1/2 and the quantile lies above the median."""
     mf = _at_least_one(m)
     alpha = _level(alpha)
     q = alpha / (2.0 * mf)
-    if q >= 0.5:
-        return ThresholdSq(0.0)
     if q == 0.0:  # underflowed: take the quantile from log q
         z = -float(special.ndtri_exp(math.log(alpha) - (math.log(mf) + math.log(2.0))))
     else:

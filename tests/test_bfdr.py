@@ -143,6 +143,18 @@ def test_solved_thresholds_keep_their_recorded_bits(p, u, alpha, gw, bf):
     assert float(bfdr_threshold(model, BfdrLevel(alpha))).hex() == bf.hex()
 
 
+@pytest.mark.parametrize("solver", [bfdr_threshold, gw_threshold])
+def test_solvers_report_a_level_they_cannot_bracket(solver):
+    """At u = 1e-17, sqrt(1 + u) rounds to 1: the null and alternative tails
+    coincide, so the function is flat at 1 - p (BFDR) or 1 (GW), the root
+    estimate declines, and no doubling of the upper end gets below alpha."""
+    model = _model(p=0.1, u=1e-17)
+    assert math.sqrt(model.u + 1.0) == 1.0
+    assert bfdr._root_bracket(1.0, math.log(0.05), 1.0) is None
+    with pytest.raises(ParameterError, match="^failed to bracket the threshold$"):
+        solver(model, BfdrLevel(0.05))
+
+
 def test_bfdr_threshold_hand_value():
     """Inverting the BFDR at c^2 = 3.841459 recovers that threshold."""
     alpha = bfdr_of_threshold(_model(), 3.841459)
@@ -427,6 +439,12 @@ def test_oracle_bfdr_asymptotic_hand_value():
     assert value == pytest.approx(math.sqrt(2.0 / math.pi) / scale, rel=1e-14)
     # And the pinned magnitude at t = 100 exactly:
     assert math.sqrt(2.0 / math.pi) / 100.0 == pytest.approx(0.0079788, abs=1e-6)
+
+
+def test_oracle_bfdr_asymptotic_requires_v_above_one():
+    d = DerivedParams(u=1.0, f=1.0, delta=1.0)  # log v = 0
+    with pytest.raises(ParameterError, match="^oracle_bfdr_asymptotic requires v > 1$"):
+        oracle_bfdr_asymptotic(d, AsymptoticConstants(0.0))
 
 
 def test_oracle_bfdr_asymptotic_tracks_exact():

@@ -628,6 +628,39 @@ def test_unparsable_config_is_exit_two(tmp_path, capsys, text):
     assert err.startswith("config error: <config>: invalid JSON: ")
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda path: None, "cannot read ", id="missing"),
+    pytest.param(Path.mkdir, "cannot read ", id="directory"),
+    pytest.param(lambda path: path.write_text("[1, 2]"), "top level must be a JSON object", id="not_an_object"),
+])
+def test_a_config_that_is_no_object_is_exit_two(tmp_path, capsys, make, message):
+    path = tmp_path / "cfg.json"
+    make(path)
+    code, out, err = run_cli(capsys, "risk", "--p", "0.1", "--u", "3", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: <config>: {message}"), err
+
+
+def test_a_config_regime_needs_its_beta(tmp_path, capsys):
+    regime = {"sparsity": {"family": "power", "kappa": 0.5}, "grid": [1e3]}
+    argv = with_config(tmp_path, ["convergence"], {"regime": regime, "rule": {"kind": "oracle"}})
+    assert run_cli(capsys, *argv) == (2, "", "config error: regime.beta: required\n")
+
+
+def test_a_grid_flag_that_is_not_numbers_is_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--preset", "lemma_universal", "--grid", "1e3,abc"])
+    assert exc.value.code == 2
+    assert "bad grid '1e3,abc'; expected comma-separated numbers" in capsys.readouterr().err
+
+
+def test_threshold_replicate_needs_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--replicate", "--m", "100"])
+    assert exc.value.code == 2
+    assert "--n is required" in capsys.readouterr().err
+
+
 def test_a_value_out_of_range_stays_a_domain_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "bfdr_fixed_alpha", "overrides": {"alpha": 1.5}}))
@@ -1180,6 +1213,42 @@ def test_short_writes_go_on_to_the_last_byte(tmp_path, monkeypatch):
         cli._write_text(path, text)
     assert path.read_bytes() == text.encode()
     assert sum(taken) == len(text.encode()) and max(taken) == 7
+
+
+def test_a_full_disk_cuts_the_output_and_writes_no_sidecar(tmp_path, capsys, monkeypatch):
+    """The first os.write takes 5 bytes and the second fails with ENOSPC:
+    risk exits 1 with the error, the older, longer CSV is cut to nothing,
+    and no sidecar is written."""
+    path = tmp_path / "f"
+    path.write_bytes(b"o" * 10_000)
+    real_write, calls = os.write, []
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, bytes(data[:5]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", failing_write)
+        code, _, err = run_cli(capsys, "risk", "--p", "0.1", "--u", "3", "--c-sq", "4", "--out", str(path))
+    assert (code, err) == (1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert len(calls) == 2
+    assert path.read_bytes() == b""
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_json_out_gets_a_meta_json_sidecar(tmp_path, capsys):
+    """The sidecar of --out x.json cannot be x.json itself: it is
+    x.json.meta.json, and it echoes every field of the setting."""
+    path, side = tmp_path / "x.json", tmp_path / "x.json.meta.json"
+    code, out, err = run_cli(capsys, "risk", "--p", "0.1", "--u", "3", "--c-sq", "4", "--out", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote {path} and {side}\n")
+    assert path.read_text().startswith(",".join(cli._RISK_COLUMNS) + "\n")
+    setting = {"p": 0.1, "sigma_sq": 1.0, "tau_sq": 3.0, "delta0": 1.0, "deltaA": 1.0, "m": 1.0}
+    assert json.loads(side.read_text())["config"] == {"setting": setting, "c_sq": 4.0, "out": str(path)}
+    assert sorted(tmp_path.iterdir()) == [path, side]
 
 
 def test_writing_to_the_null_device_does_not_cut_it():

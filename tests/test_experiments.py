@@ -1,6 +1,7 @@
 """Regimes, presets and convergence studies."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsemix import rules
 from sparsemix import (
     CONVERGENCE_COLUMNS,
     DEFAULT_EXACT_GRID,
@@ -334,6 +336,31 @@ def test_convergence_rows_are_tuples_of_python_floats(name, mode, opts):
         assert type(row) is ConvergenceRow
         assert [type(cell) for cell in row] == [float] * len(CONVERGENCE_COLUMNS)
         assert tuple(row) == tuple(getattr(row, col) for col in CONVERGENCE_COLUMNS)
+
+
+# Digests of the rows' float.hex() cells, recorded before an mc table
+# passed its replicates the threshold it had solved.
+@pytest.mark.parametrize("name, solver, digest", [
+    ("bfdr_fixed_alpha", "bfdr_threshold", "2edb34bd1bbdc69127a9a445063847f063966be2444ec135651777f435cbfc1e"),
+    ("gw_fixed_alpha", "gw_threshold", "f4897093a877d3cf32c3ba7dcfcfe8e9125dd9777675d52c9984104cbd8e17b1"),
+])
+def test_an_mc_table_solves_each_point_once(monkeypatch, name, solver, digest):
+    """An mc-mode table of a solved rule bisects once per point, for its
+    c_sq column and its replicates alike, and keeps its recorded bits."""
+    calls = []
+    real = getattr(rules, solver)
+
+    def spy(model, level):
+        calls.append(level)
+        return real(model, level)
+
+    monkeypatch.setattr(rules, solver, spy)
+    regime, rule = preset(name)
+    regime = Regime(regime.name, regime.generator, (1e3, 1e4, 1e5))
+    rows = run_convergence(regime, rule, "mc", McOptions(reps=20, seed=1))
+    assert len(calls) == len(rows) == 3
+    text = "\n".join(",".join(cell.hex() for cell in row) for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_convergence_oracle_ratio_is_one():

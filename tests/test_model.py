@@ -40,6 +40,11 @@ def test_threshold_sq_basics():
     assert ThresholdSq(0.0, degenerate=True).degenerate
 
 
+def test_threshold_sq_repr_shows_the_degenerate_mark():
+    assert repr(ThresholdSq(2.5)) == "ThresholdSq(2.5)"
+    assert repr(ThresholdSq(0.0, degenerate=True)) == "ThresholdSq(0.0, degenerate=True)"
+
+
 def test_threshold_sq_accepts_inf_marker():
     c = ThresholdSq(math.inf)
     assert math.isinf(c)

@@ -75,6 +75,14 @@ def test_finite_arrays_are_checked_only_in_errors():
     assert copies == []
 
 
+def test_the_scalar_normal_tail_lives_only_in_normal():
+    """A Python float's upper normal tail has one kernel,
+    normal._phi_tail_float, never a copy of it in another module."""
+    copies = [path.name for path in sorted(SRC.glob("*.py"))
+              if path.name != "normal.py" and "float(special.erfc(" in path.read_text()]
+    assert copies == []
+
+
 def test_csv_cells_are_formatted_only_in_cli():
     """The 17-digit cell format lives only in cli.py, so every CSV cell,
     one at a time or a row at once, has one formatter."""

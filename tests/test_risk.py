@@ -217,3 +217,13 @@ def test_optimality_diagnostics_domain():
         optimality_diagnostics(1.0, v=2.0, log_v=1.0)
     with pytest.raises(ParameterError):
         optimality_diagnostics(-1.0, v=2.0)
+
+
+def test_optimality_diagnostics_requires_a_positive_log_v():
+    with pytest.raises(ParameterError, match="^optimality_diagnostics requires log v > 0$"):
+        optimality_diagnostics(1.0, log_v=0.0)
+
+
+def test_risk_ratio_refuses_a_zero_optimum():
+    with pytest.raises(ParameterError, match="^optimal risk is zero; ratio undefined$"):
+        risk_ratio(RiskBreakdown(1.0, 0.5), RiskBreakdown(0.0, 0.0))

@@ -104,6 +104,11 @@ def test_bh_has_no_fixed_threshold():
         threshold_sq(BhRule(alpha=0.1), _setting())
 
 
+def test_threshold_sq_refuses_an_unknown_descriptor():
+    with pytest.raises(ParameterError, match="^unknown rule descriptor <object object at "):
+        threshold_sq(object(), _setting())
+
+
 def test_template_rules_need_their_level():
     with pytest.raises(ParameterError):
         threshold_sq(BonferroniRule(), _setting())
