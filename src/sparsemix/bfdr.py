@@ -19,9 +19,10 @@ The threshold matched to the false-discovery-rate procedure ("GW" here,
 after the fixed-point equation it solves) is computed by an independent
 bisection on its own defining equation; that it coincides with the BFDR
 threshold at level alpha(1-p) is a theorem, and the test suite checks the
-two solvers against each other rather than wiring the identity in.  The
-two share the starting bracket and the root estimate, which decide where to
-evaluate; each threshold comes from bisecting its own function.
+two solvers against each other rather than wiring the identity in.  Both
+equations reduce to one log-odds equation with different constants, so the
+two share one solve (the starting bracket and the root estimate) and one
+deep-tail log ratio; each threshold comes from bisecting its own function.
 """
 
 from __future__ import annotations
@@ -97,13 +98,18 @@ def bfdr_of_threshold(model: MixtureModel, c_sq) -> float:
     if t1 > 0.0:
         num = (1.0 - p) * t1
         return num / (num + p * alt_tail)
-    # Deep tail: both tails underflow; work with the log of the tail ratio
-    # h = (1 - Phi(c/s)) / (1 - Phi(c)), so BFDR = 1 / (1 + (p/(1-p)) h).
-    log_ratio = math.log(p / (1.0 - p)) + float(special.log_ndtr(-c / s)) - float(special.log_ndtr(-c))
-    if log_ratio > 36.0:
-        # 1/(1+e^x) = e^{-x} to double precision; underflows harmlessly to 0.
-        return math.exp(-log_ratio)
-    return 1.0 / (1.0 + math.exp(log_ratio))
+    # Deep tail: BFDR = 1 / (1 + (p/(1-p)) h).
+    return _deep_tail(math.log(p / (1.0 - p)), c, s, 1.0)
+
+
+def _deep_tail(log_prior: float, c: float, s: float, base: float) -> float:
+    """1 / (base + e^x) for base <= 1, x = log_prior + log h, and a c where both
+    tails underflow: h = (1 - Phi(c/s)) / (1 - Phi(c)) from the log tails."""
+    x = log_prior + float(special.log_ndtr(-c / s)) - float(special.log_ndtr(-c))
+    if x > 36.0:
+        # base is negligible next to e^x; e^{-x} underflows harmlessly to 0.
+        return math.exp(-x)
+    return 1.0 / (base + math.exp(x))
 
 
 # A certified bracket [a, b] around the root lets the bisection skip every
@@ -225,13 +231,16 @@ def _bisect_decreasing(fn, target: float, hi_start: float, near=None) -> float:
     raise ParameterError("bisection failed to reach the 1e-11 level tolerance")
 
 
-def _hi_start(model: MixtureModel) -> float:
-    """The bisection's first upper end on the |Z| scale, sized from the
-    delta-free composite u f^2: generous by construction, and grown
-    geometrically if even that is too small."""
+def _solve(model: MixtureModel, fn, alpha: float, log_odds: float, scale: float) -> ThresholdSq:
+    """The c^2 where the decreasing fn(z) meets alpha, with log_odds and scale
+    placing its root on _root_bracket's equation.  The first upper end, from
+    the delta-free u f^2, is generous by construction and grown if not."""
     u = model.u
+    near = _root_bracket(math.sqrt(u + 1.0), log_odds, scale)
     log_v1 = math.log(u) + 2.0 * math.log(model.f)
-    return math.sqrt(4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0))
+    hi_start = math.sqrt(4.0 * (max(log_v1, 0.0) + math.log(u + 2.0) + 50.0))
+    c = _bisect_decreasing(fn, alpha, hi_start, near)
+    return ThresholdSq(c * c)
 
 
 def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
@@ -248,16 +257,10 @@ def bfdr_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
             f"with supremum 1-p = {supremum!r} at c^2 = 0",
             supremum=supremum,
         )
-    u = model.u
     alpha, p = level.alpha, model.p
     # BFDR odds alpha/(1-alpha) = ((1-p)/p) (1-Phi(c)) / (1-Phi(c/s)).
-    near = _root_bracket(
-        math.sqrt(u + 1.0),
-        math.log(alpha) - math.log1p(-alpha) + math.log(p) - math.log1p(-p),
-        1.0 - alpha,
-    )
-    c = _bisect_decreasing(lambda z: bfdr_of_threshold(model, z * z), alpha, _hi_start(model), near)
-    return ThresholdSq(c * c)
+    log_odds = math.log(alpha) - math.log1p(-alpha) + math.log(p) - math.log1p(-p)
+    return _solve(model, lambda z: bfdr_of_threshold(model, z * z), alpha, log_odds, 1.0 - alpha)
 
 
 def _gw_value(model: MixtureModel, c: float) -> float:
@@ -270,11 +273,7 @@ def _gw_value(model: MixtureModel, c: float) -> float:
     den = (1.0 - p) * t0 + p * ta
     if den > 0.0 and t0 > 0.0:
         return t0 / den
-    log_ratio = math.log(p) + float(special.log_ndtr(-c / s)) - float(special.log_ndtr(-c))
-    if log_ratio > 36.0:
-        # (1-p) is negligible next to e^{log_ratio}.
-        return math.exp(-log_ratio)
-    return 1.0 / ((1.0 - p) + math.exp(log_ratio))
+    return _deep_tail(math.log(p), c, s, 1.0 - p)
 
 
 def gw_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
@@ -284,16 +283,10 @@ def gw_threshold(model: MixtureModel, level: BfdrLevel) -> ThresholdSq:
     bfdr_threshold — so the alpha' = alpha(1-p) equivalence stays a testable
     fact rather than an implementation artifact.
     """
-    u = model.u
     alpha, p = level.alpha, model.p
     # (1-Phi(c)) / ((1-p)(1-Phi(c)) + p(1-Phi(c/s))) = alpha, solved for the tail ratio.
-    near = _root_bracket(
-        math.sqrt(u + 1.0),
-        math.log(alpha) + math.log(p) - math.log1p(-alpha * (1.0 - p)),
-        1.0 - alpha * (1.0 - p),
-    )
-    c = _bisect_decreasing(lambda z: _gw_value(model, z), alpha, _hi_start(model), near)
-    return ThresholdSq(c * c)
+    log_odds = math.log(alpha) + math.log(p) - math.log1p(-alpha * (1.0 - p))
+    return _solve(model, lambda z: _gw_value(model, z), alpha, log_odds, 1.0 - alpha * (1.0 - p))
 
 
 def bfdr_threshold_asymptotic(f: float, level: BfdrLevel, consts: AsymptoticConstants) -> ThresholdSq:

@@ -92,26 +92,13 @@ _RISK_COLUMNS = ("m", "p", "u", "delta0", "deltaA", "c_sq", "r1", "r2", "total")
 # Formatting and emission.
 
 
-# A number's CSV cell: 17 significant digits, so it reads back as the same double.
-_NUMBER = "%.17g"
-
-
-def _cell(value) -> str:
-    """A CSV cell: an identifier as it is, a bool or an integer as written,
-    any other number as a float."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _NUMBER % float(value)
-
-
 @cache
-def _numbers(n: int) -> str:
-    """The format of a row of n Python floats, all cells at once."""
-    return ",".join([_NUMBER] * n)
+def _row_format(types: tuple) -> str:
+    """The format of a CSV row whose cells have these types: an identifier or
+    a bool as written, an integer as one, any other number with 17
+    significant digits, so it reads back as the same double."""
+    return ",".join("%s" if issubclass(t, (str, bool, np.bool_)) else
+                    "%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types)
 
 
 def _show(value) -> str:
@@ -121,14 +108,10 @@ def _show(value) -> str:
 
 def _csv_text(columns, rows) -> str:
     """One header row, then the rows.  Every cell is a fixed identifier or a
-    number, so none needs quoting.  A row of Python floats, as a table row
-    is, takes one format; any other row goes cell by cell through _cell."""
+    number, so none needs quoting, and each row takes one format."""
     lines = [",".join(columns)]
     for row in rows:
-        if all(type(cell) is float for cell in row):
-            lines.append(_numbers(len(row)) % tuple(row))
-        else:
-            lines.append(",".join(map(_cell, row)))
+        lines.append(_row_format(tuple(map(type, row))) % tuple(row))
     lines.append("")
     return "\n".join(lines)
 

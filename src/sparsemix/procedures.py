@@ -43,8 +43,8 @@ __all__ = [
     "confusion",
 ]
 
-# Critical values the step-up search builds at a time: its temporaries
-# stay small however many p-values are sorted.
+# The most critical values the step-up search builds at a time: its
+# temporaries stay small however many p-values are sorted.
 _CHUNK = 1 << 15
 
 
@@ -112,17 +112,20 @@ def _last_crossing(ordered: np.ndarray, alpha: float, m: int) -> float | None:
     at), or None if no k qualifies.
 
     The critical values keep the roundings of alpha * np.arange(1, n + 1) / m.
-    They are built a chunk at a time from the top, where the search ends
-    when most tests qualify.
+    They are built from the top, where the crossing usually sits within a
+    few places, in windows of 16 that grow 4-fold after each miss, up to
+    _CHUNK.
     """
-    for hi in range(ordered.size, 0, -_CHUNK):
-        lo = max(hi - _CHUNK, 0)
+    hi, width = ordered.size, min(16, _CHUNK)
+    while hi > 0:
+        lo = max(hi - width, 0)
         crit_values = np.arange(lo + 1, hi + 1, dtype=float)
         crit_values *= alpha
         crit_values /= m
         hits = np.flatnonzero(ordered[lo:hi] <= crit_values)
         if hits.size:
             return float(ordered[lo + hits[-1]])
+        hi, width = lo, min(4 * width, _CHUNK)
     return None
 
 

@@ -342,6 +342,38 @@ def test_a_bracket_that_fails_certification_leaves_the_plain_bisection():
     assert n_wrong == n_plain + 2 and n_good < n_plain / 2
 
 
+def test_a_newton_step_without_slope_leaves_the_plain_bisection(monkeypatch):
+    """At u = 2.4e-15 the two tails differ only in their last bits, so the
+    first Newton step finds no slope and the root estimate declines.  Both
+    solvers then run the plain bisection, which misses the tolerance here."""
+    p, u, alpha = 1.3558502935112286e-51, 2.3976969816104868e-15, 0.00798455408563922
+    s = math.sqrt(u + 1.0)
+    seen = []
+    original = bfdr._log_tail_and_hazard
+    monkeypatch.setattr(bfdr, "_log_tail_and_hazard", lambda x: seen.append(original(x)) or seen[-1])
+    log_odds = math.log(alpha) - math.log1p(-alpha) + math.log(p) - math.log1p(-p)
+    assert bfdr._root_bracket(s, log_odds, 1.0 - alpha) is None
+    (_, hazard), (_, hazard_s) = seen  # one step, ended by its slope
+    assert not hazard_s / s - hazard < 0.0
+    for solver in (bfdr_threshold, gw_threshold):
+        with pytest.raises(ParameterError, match="^bisection failed to reach the 1e-11 level tolerance$"):
+            solver(_model(p=p, u=u), BfdrLevel(alpha))
+
+
+def test_a_root_estimate_out_of_steps_leaves_the_same_double(monkeypatch):
+    """With one Newton step no residual gets within a quarter of the margin,
+    so the root estimate declines after its last step; the plain bisection
+    the solvers then run returns the same doubles."""
+    model, level = _model(), BfdrLevel(0.05)
+    want = [float(solver(model, level)).hex() for solver in (bfdr_threshold, gw_threshold)]
+    brackets = []
+    original = bfdr._root_bracket
+    monkeypatch.setattr(bfdr, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(bfdr, "_root_bracket", lambda *a: brackets.append(original(*a)) or brackets[-1])
+    assert [float(solver(model, level)).hex() for solver in (bfdr_threshold, gw_threshold)] == want
+    assert brackets == [None, None]
+
+
 # -----------------------------------------------------------------------
 # GW fixed point.
 

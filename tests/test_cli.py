@@ -1106,6 +1106,8 @@ _CELLS = st.one_of(
     st.floats(), _EDGE_FLOATS, st.integers(), st.booleans(), _IDENTIFIERS,
     (st.floats() | _EDGE_FLOATS).map(numpy.float64), st.floats(width=32).map(numpy.float32),
     st.integers(-2**63, 2**63 - 1).map(numpy.int64), st.booleans().map(numpy.bool_),
+    st.integers(-2**31, 2**31 - 1).map(numpy.int32), st.integers(0, 2**64 - 1).map(numpy.uint64),
+    st.floats(width=16).map(numpy.float16),
 )
 
 

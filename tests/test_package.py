@@ -83,6 +83,21 @@ def test_the_scalar_normal_tail_lives_only_in_normal():
     assert copies == []
 
 
+def test_the_deep_tail_log_ratio_is_stated_once():
+    """Both BFDR-side evaluators take log_ndtr's tail ratio from one line."""
+    lines = [f"{path.name}: {line.strip()}" for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines() if "log_ndtr" in line]
+    assert len(lines) == 1, lines
+
+
+def test_both_threshold_solvers_place_their_bracket_in_one_place():
+    """_root_bracket has one caller, the solve both threshold equations share."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_root_bracket"]
+    assert len(calls) == 1, calls
+
+
 def test_csv_cells_are_formatted_only_in_cli():
     """The 17-digit cell format lives only in cli.py, so every CSV cell,
     one at a time or a row at once, has one formatter."""

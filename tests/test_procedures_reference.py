@@ -157,6 +157,19 @@ def test_bh_last_critical_value_above_alpha():
     assert_same_step_up(np.full(m, p_up), alpha)
 
 
+@pytest.mark.parametrize("place", [16, 17])
+def test_bh_finds_a_crossing_at_and_below_the_first_window(place):
+    """The search looks at the top 16 sorted p-values first.  Here 40 are
+    sorted (ten more lie at or below alpha but above 50 alpha / m), and the
+    crossing is the 16th from the top, the first window's bottom, or the
+    17th, just below it."""
+    alpha, m = 0.5, 60
+    k = 40 - place + 1
+    pvals = np.array([alpha * i / m for i in range(1, k + 1)] + [0.4] * (40 - k) + [0.45] * 10 + [0.9] * 10)
+    assert bh_reject(pvals, alpha).num_rejected == k
+    assert_same_step_up(pvals, alpha)
+
+
 @pytest.mark.parametrize(
     "pvals, alpha",
     [
