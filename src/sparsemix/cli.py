@@ -28,11 +28,16 @@ seed, and requests beyond MAX_M tests sampled, MAX_REPS replicates or
 MAX_GRID_POINTS convergence grid points, which are refused before
 anything is allocated.
 
-Config files are single JSON documents mirroring the flags; flags override
-config fields.  A setting, rule, sparsity or delta family and a preset's
-overrides are each read by errors.call_with_fields as the parameters of
-what they build.  See the README for the schema and the documented CSV
-column orders.
+Config files are single JSON documents mirroring the flags.  Each value
+flag's dest is the path of the field it stands for: the setting flags are
+setting.*, the rule flags rule.* and --rule rule.kind; --m is setting.m in
+risk and m in simulate, --c-sq c_sq in risk and rule.c_sq elsewhere, and
+any other flag the top-level field of its name (threshold's --alpha too).
+Every given flag is folded into the config object, winning over its
+field, before any field is read.  A setting, rule, sparsity or delta
+family and a preset's overrides are each read by errors.call_with_fields
+as the parameters of what they build.  See the README for the schema and
+the documented CSV column orders.
 """
 
 from __future__ import annotations
@@ -169,43 +174,48 @@ def _emit(out, command: str, columns, rows, echo: dict, seed=None) -> None:
 # Config ingestion.
 
 
-def _config(args, allowed) -> dict:
+def _inputs(args, allowed) -> dict:
     """The --config file's object, holding only the allowed top-level
-    fields; {} without --config."""
-    if not args.config:
-        return {}
-    try:
-        raw = Path(args.config).read_text()
-    except OSError as exc:
-        raise ConfigError("<config>", f"cannot read {args.config!r}: {exc}") from None
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:  # also an integer literal beyond int's digit limit
-        raise ConfigError("<config>", f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("<config>", "top level must be a JSON object")
-    _reject_unknown(data, allowed)
-    return data
+    fields ({} without --config), with every given flag folded in at the
+    field path its dest names ("setting.p", "rule.kind", "reps"): a given
+    flag wins over its field.  A flag is not folded into a field that is
+    not an object, which the reader of that field then refuses."""
+    cfg: dict = {}
+    source = getattr(args, "config", None)  # threshold takes no --config
+    if source:
+        try:
+            raw = Path(source).read_text()
+        except OSError as exc:
+            raise ConfigError("<config>", f"cannot read {source!r}: {exc}") from None
+        try:
+            cfg = json.loads(raw)
+        except ValueError as exc:  # also an integer literal beyond int's digit limit
+            raise ConfigError("<config>", f"invalid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("<config>", "top level must be a JSON object")
+        _reject_unknown(cfg, allowed)
+    for dest, value in vars(args).items():
+        if value is None:
+            continue
+        head, _, key = dest.partition(".")
+        if head not in allowed:
+            continue
+        if not key:
+            cfg[head] = value
+        elif cfg.get(head) is None:
+            cfg[head] = {key: value}
+        elif isinstance(cfg[head], dict):
+            cfg[head][key] = value
+    return cfg
 
 
 def _at_most(path: str, value, bound: int, noun: str) -> None:
     if value > bound:
-        raise ConfigError(path, f"at most {bound:g} {noun} allowed, got {value:g}")
-
-
-def _flag_or_field(args, cfg: dict, key: str, kind: type, default=None):
-    """The --key flag if given, else the config's top-level field."""
-    value = getattr(args, key)
-    return value if value is not None else _field(cfg, key, kind, default=default)
-
-
-def _overlay_flags(cfg: dict, args, keys) -> dict:
-    merged = dict(cfg)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+        try:
+            shown = f"{value:g}"
+        except OverflowError:  # an integer beyond the float range
+            shown = f"an integer of {len(str(value))} digits"
+        raise ConfigError(path, f"at most {bound:g} {noun} allowed, got {shown}")
 
 
 def _setting(p, u=None, tau_sq=None, sigma_sq=1.0, delta=None, delta0=None, deltaA=None, m=1.0):
@@ -238,23 +248,15 @@ def _setting_echo(setting: TestingSetting) -> dict:
     return {**vars(setting.model), **vars(setting.losses), "m": setting.m}
 
 
-_RULE_FLAG_KEYS = ("alpha", "c_sq", "d", "n")
-
-
-def _build_rule(cfg: dict, args, base=None):
-    """The config's rule object under the rule flags; flags override fields.
-
-    With no kind from either, the config's fields and then the flags go on
-    top of base (a preset's rule), which a run without a preset lacks.
-    """
+def _build_rule(cfg: dict, base=None):
+    """The rule object's rule.  Without a kind, its fields go on top of
+    base (a preset's rule), which a run without a preset lacks."""
     merged = _field(cfg, "rule", dict, default={})
-    if args.rule is not None:
-        merged["kind"] = args.rule
     if "kind" not in merged:
         if base is None:
             raise ConfigError("rule.kind", "required without a preset")
         merged = {**rule_to_config(base), **merged}
-    return rule_from_config(_overlay_flags(merged, args, _RULE_FLAG_KEYS))
+    return rule_from_config(merged)
 
 
 def _grid_field(cfg: dict, prefix: str = ""):
@@ -291,10 +293,10 @@ def _build_regime_from_config(src: dict, prefix: str = "regime.") -> Regime:
     )
 
 
-def _preset_and_rule(cfg: dict, args, echo: dict):
-    """The named preset's regime, and its rule under the config's and the
-    flags' rule; (None, None) when no preset is named."""
-    name = _flag_or_field(args, cfg, "preset", str)
+def _preset_and_rule(cfg: dict, echo: dict):
+    """The named preset's regime, and its rule under the rule object;
+    (None, None) when no preset is named."""
+    name = _field(cfg, "preset", str)
     overrides = _field(cfg, "overrides", dict, default={})
     if name is None:
         if cfg.get("overrides") is not None:  # refused, not ignored
@@ -304,23 +306,23 @@ def _preset_and_rule(cfg: dict, args, echo: dict):
     echo["preset"] = name
     if overrides:
         echo["overrides"] = overrides
-    return regime, _build_rule(cfg, args, base=rule)
+    return regime, _build_rule(cfg, base=rule)
 
 
-def _run_options(cfg: dict, args, default_reps: int, echo: dict) -> tuple[McOptions, str | None]:
+def _run_options(cfg: dict, default_reps: int, echo: dict) -> tuple[McOptions, str | None]:
     """Replicates and seed, and the output path; all echoed."""
-    reps = _flag_or_field(args, cfg, "reps", int, default=default_reps)
+    reps = _field(cfg, "reps", int, default=default_reps)
     _at_most("reps", reps, MAX_REPS, "replicates")
-    seed = _flag_or_field(args, cfg, "seed", int, default=0)
+    seed = _field(cfg, "seed", int, default=0)
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
     echo.update(reps=reps, seed=seed)
-    return McOptions(reps=reps, seed=seed), _output(cfg, args, echo)
+    return McOptions(reps=reps, seed=seed), _output(cfg, echo)
 
 
-def _output(cfg: dict, args, echo: dict) -> str | None:
+def _output(cfg: dict, echo: dict) -> str | None:
     """The output path, echoed; None for stdout."""
-    out = _flag_or_field(args, cfg, "out", str)
+    out = _field(cfg, "out", str)
     if out is not None:
         echo["out"] = out
     return out
@@ -338,11 +340,12 @@ def _required(args, key: str):
     return value
 
 
-_MIXTURE_KEYS = ("p", "u", "tau_sq", "sigma_sq")
+_MIXTURE_KEYS = ("setting.p", "setting.u", "setting.tau_sq", "setting.sigma_sq")
 # Each threshold rule, in the order the rules print: the help of its flag,
-# the flags it reads, and its c^2 from the setting s, m, d and the flags.
+# the fields it reads, and its c^2 from the setting s, m, d and the flags.
 _THRESHOLDS = {
-    "oracle": ("Bayes-oracle threshold", (*_MIXTURE_KEYS, "delta", "delta0", "deltaA"),
+    "oracle": ("Bayes-oracle threshold",
+               (*_MIXTURE_KEYS, "setting.delta", "setting.delta0", "setting.deltaA"),
                lambda s, m, d, args: oracle_threshold_sq_raw(s.model, s.losses)),
     "bfdr": ("threshold with Bayesian FDR equal to --alpha", (*_MIXTURE_KEYS, "alpha"),
              lambda s, m, d, args: bfdr_threshold(s.model, BfdrLevel(_required(args, "alpha")))),
@@ -362,21 +365,19 @@ def cmd_threshold(args) -> int:
     if not selected:
         args.parser.error(f"select at least one rule ({'/'.join('--' + name for name in _THRESHOLDS)})")
     read = {key for name in selected for key in _THRESHOLDS[name][1]}
-    echo = []
-    for attr in (*_SETTING_KEYS, "alpha", "n", "d"):
-        value = getattr(args, attr)
-        if value is None:
-            continue
-        if attr not in read:  # refused, not echoed and ignored
-            path = attr if attr in ("m", "alpha", "n", "d") else "setting." + attr
+    cfg = _inputs(args, ("setting", "m", "alpha", "n", "d"))
+    setting_cfg = _field(cfg, "setting", dict, default={})
+    given = [*(("setting." + key, value) for key, value in setting_cfg.items()),
+             *((key, value) for key, value in cfg.items() if key != "setting")]
+    for path, _ in given:
+        if path not in read:  # refused, not echoed and ignored
             raise ConfigError(path, "not used by " + " ".join("--" + name for name in selected))
-        echo.append(f"{attr}={_show(value)}")
-    print(" ".join(echo) if echo else "(defaults)")
+    print(" ".join(f"{path.rpartition('.')[2]}={_show(value)}" for path, value in given) or "(defaults)")
+    m = _field(cfg, "m", float, default=1.0)
+    d = _field(cfg, "d", float, default=0.0)
     # Only the mixture-based rules need a setting; the others need only m.
-    setting = (call_with_fields(_setting, _overlay_flags({}, args, _SETTING_KEYS), "setting.")
-               if "p" in read else None)
-    m = 1.0 if args.m is None else args.m
-    d = 0.0 if args.d is None else args.d
+    setting = (call_with_fields(_setting, {**setting_cfg, "m": m}, "setting.")
+               if "setting.p" in read else None)
     results = [(name, _THRESHOLDS[name][2](setting, m, d, args)) for name in selected]
     for name, c_sq in results:
         print(f"{name:<11} c_sq={_show(float(c_sq))}  z={_show(c_sq.z)}")
@@ -384,10 +385,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_risk(args) -> int:
-    cfg = _config(args, ("setting", "c_sq", "out"))
-    setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
-    setting = call_with_fields(_setting, setting_cfg, "setting.")
-    c_sq_value = _flag_or_field(args, cfg, "c_sq", float)
+    cfg = _inputs(args, ("setting", "c_sq", "out"))
+    setting = call_with_fields(_setting, _field(cfg, "setting", dict, default={}), "setting.")
+    c_sq_value = _field(cfg, "c_sq", float)
     if c_sq_value is None:
         c_sq = oracle_threshold_sq_raw(setting.model, setting.losses)
     else:
@@ -395,48 +395,38 @@ def cmd_risk(args) -> int:
     breakdown = fixed_threshold_risk(setting, c_sq)
     print(f"c_sq={_show(float(c_sq))} z={_show(c_sq.z)}")
     print(f"r1={_show(breakdown.r1)} r2={_show(breakdown.r2)} total={_show(breakdown.total)}")
-    out = _flag_or_field(args, cfg, "out", str)
+    out = _field(cfg, "out", str)
     if out is not None:
-        row = (
-            setting.m,
-            setting.model.p,
-            setting.model.u,
-            setting.losses.delta0,
-            setting.losses.deltaA,
-            float(c_sq),
-            breakdown.r1,
-            breakdown.r2,
-            breakdown.total,
-        )
+        row = (setting.m, setting.model.p, setting.model.u, setting.losses.delta0, setting.losses.deltaA,
+               float(c_sq), breakdown.r1, breakdown.r2, breakdown.total)
         echo = {"setting": _setting_echo(setting), "c_sq": float(c_sq), "out": out}
         _emit(out, "risk", _RISK_COLUMNS, [row], echo)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args, ("preset", "overrides", "setting", "rule", "m", "reps", "seed", "out"))
+    cfg = _inputs(args, ("preset", "overrides", "setting", "rule", "m", "reps", "seed", "out"))
     echo: dict = {}
-    regime, rule = _preset_and_rule(cfg, args, echo)
-    m = _flag_or_field(args, cfg, "m", float)
+    regime, rule = _preset_and_rule(cfg, echo)
+    m = _field(cfg, "m", float)
     if regime is not None:
         if m is None:
             raise ConfigError("m", "required with a preset")
-        if cfg.get("setting") is not None:
-            raise ConfigError("setting", "not used with a preset")
-        for key in _SETTING_KEYS:
-            if key != "m" and getattr(args, key) is not None:
-                raise ConfigError("setting." + key, "not used with a preset")
+        if cfg.get("setting") is not None:  # named by the first setting flag given, else the object
+            path = next(("setting." + key for key in _SETTING_KEYS
+                         if getattr(args, "setting." + key, None) is not None), "setting")
+            raise ConfigError(path, "not used with a preset")
         point = regime.generator(m)
         setting = point.setting
         rule = fill_rule(rule, alpha=point.alpha, n=point.n)
     else:
-        setting_cfg = _overlay_flags(_field(cfg, "setting", dict, default={}), args, _SETTING_KEYS)
+        setting_cfg = _field(cfg, "setting", dict, default={})
         if m is not None:
             setting_cfg["m"] = m
         setting = call_with_fields(_setting, setting_cfg, "setting.")
-        rule = _build_rule(cfg, args)
+        rule = _build_rule(cfg)
     _at_most("m", setting.m, MAX_M, "tests")
-    mc, out = _run_options(cfg, args, 1000, echo)
+    mc, out = _run_options(cfg, 1000, echo)
     echo.update(setting=_setting_echo(setting), rule=rule_to_config(rule))
     report = mc_run(setting, rule, mc.reps, mc.seed)
     rows = []
@@ -449,44 +439,38 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = _config(args, ("preset", "overrides", "regime", "rule", "mode", "grid", "reps", "seed", "out"))
+    cfg = _inputs(args, ("preset", "overrides", "regime", "rule", "mode", "grid", "reps", "seed", "out"))
     echo: dict = {}
-    regime, rule = _preset_and_rule(cfg, args, echo)
+    regime, rule = _preset_and_rule(cfg, echo)
     if regime is None:
         if "regime" not in cfg:
             raise ConfigError("preset", "required (or a 'regime' object in the config)")
         regime = _build_regime_from_config(_field(cfg, "regime", dict, default={}))
-        rule = _build_rule(cfg, args)
+        rule = _build_rule(cfg)
         echo["regime"] = cfg["regime"]
     elif cfg.get("regime") is not None:
         raise ConfigError("regime", "not used with a preset")
-    grid = args.grid if args.grid is not None else _grid_field(cfg)
+    grid = _grid_field(cfg)
     if grid is not None:
         regime = replace(regime, t_grid=grid)
         echo["grid"] = list(regime.t_grid)
     _at_most("grid", len(regime.t_grid), MAX_GRID_POINTS, "points")
-    mode = _flag_or_field(args, cfg, "mode", str)
+    mode = _field(cfg, "mode", str)
     if mode is None:
         mode = "exact" if is_fixed_threshold(rule) else "mc"
     if mode == "mc":
         # Every regime here is regime_verge's, whose points have m = t on a
         # strictly increasing grid, so the last point is the largest.
         _at_most("grid", regime.t_grid[-1], MAX_M, "tests per point")
-        mc, out = _run_options(cfg, args, 400, echo)
+        mc, out = _run_options(cfg, 400, echo)
     else:
         for key in ("reps", "seed"):  # refused, not echoed and ignored
-            if _flag_or_field(args, cfg, key, int) is not None:
+            if _field(cfg, key, int) is not None:
                 raise ConfigError(key, "not used in exact mode")
-        mc, out = None, _output(cfg, args, echo)
+        mc, out = None, _output(cfg, echo)
     echo.update(rule=rule_to_config(rule), mode=mode)
-    _emit(
-        out,
-        "convergence",
-        CONVERGENCE_COLUMNS,
-        run_convergence(regime, rule, mode, mc),
-        echo,
-        seed=mc.seed if mode == "mc" else None,
-    )
+    _emit(out, "convergence", CONVERGENCE_COLUMNS, run_convergence(regime, rule, mode, mc), echo,
+          seed=mc.seed if mode == "mc" else None)
     return 0
 
 
@@ -494,32 +478,42 @@ def cmd_convergence(args) -> int:
 # Parser assembly.
 
 
+def _flag(par, flag: str, path: str, **kwargs) -> None:
+    """A value flag stored at the path of the config field it stands for and
+    shown under that field's name; a flag with choices shows its choices."""
+    if "choices" not in kwargs:
+        kwargs["metavar"] = path.rpartition(".")[2].upper()
+    par.add_argument(flag, dest=path, **kwargs)
+
+
 def _add_setting_flags(par) -> None:
-    par.add_argument("--p", type=float, help="alternative-component weight")
-    par.add_argument("--u", type=float, help="tau^2/sigma^2")
-    par.add_argument("--tau-sq", dest="tau_sq", type=float, help="alternative variance excess")
-    par.add_argument("--sigma-sq", dest="sigma_sq", type=float, help="null variance (default 1)")
-    par.add_argument("--delta", type=float, help="loss ratio delta0/deltaA (deltaA=1)")
-    par.add_argument("--delta0", type=float, help="false-rejection loss")
-    par.add_argument("--deltaA", dest="deltaA", type=float, help="missed-signal loss")
+    _flag(par, "--p", "setting.p", type=float, help="alternative-component weight")
+    _flag(par, "--u", "setting.u", type=float, help="tau^2/sigma^2")
+    _flag(par, "--tau-sq", "setting.tau_sq", type=float, help="alternative variance excess")
+    _flag(par, "--sigma-sq", "setting.sigma_sq", type=float, help="null variance (default 1)")
+    _flag(par, "--delta", "setting.delta", type=float, help="loss ratio delta0/deltaA (deltaA=1)")
+    _flag(par, "--delta0", "setting.delta0", type=float, help="false-rejection loss")
+    _flag(par, "--deltaA", "setting.deltaA", type=float, help="missed-signal loss")
 
 
 def _add_rule_flags(par) -> None:
-    par.add_argument("--rule", choices=tuple(_BY_KIND), help="rule kind (overrides a preset's rule)")
-    par.add_argument("--alpha", type=float, help="level for level-based rules")
-    par.add_argument("--c-sq", dest="c_sq", type=float, help="threshold for --rule fixed")
-    par.add_argument("--d", type=float, help="offset for universal/replicate rules")
-    par.add_argument("--n", type=float, help="replicates per test for the replicate rule")
+    _flag(par, "--rule", "rule.kind", choices=tuple(_BY_KIND), help="rule kind (overrides a preset's rule)")
+    _flag(par, "--alpha", "rule.alpha", type=float, help="level for level-based rules")
+    _flag(par, "--c-sq", "rule.c_sq", type=float, help="threshold for --rule fixed")
+    _flag(par, "--d", "rule.d", type=float, help="offset for universal/replicate rules")
+    _flag(par, "--n", "rule.n", type=float, help="replicates per test for the replicate rule")
 
 
-def _add_mc_flags(par, default_reps: int) -> None:
-    par.add_argument("--reps", type=int, help=f"replicates (default {default_reps})")
-    par.add_argument("--seed", type=int, help="master seed (default 0)")
+def _add_run_flags(par, default_reps: int) -> None:
+    _flag(par, "--reps", "reps", type=int, help=f"replicates (default {default_reps})")
+    _flag(par, "--seed", "seed", type=int, help="master seed (default 0)")
+    par.add_argument("--config", help="JSON config file")
+    _flag(par, "--out", "out", help="CSV output path (default: stdout)")
 
 
-def _grid_arg(text: str) -> tuple[float, ...]:
+def _grid_arg(text: str) -> list[float]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}; expected comma-separated numbers")
 
@@ -537,38 +531,34 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, _, _) in _THRESHOLDS.items():
         par.add_argument("--" + name, action="store_true", help=help_text)
     _add_setting_flags(par)
-    par.add_argument("--m", type=float, help="number of tests (default 1)")
-    par.add_argument("--alpha", type=float, help="level for --bfdr/--gw/--bonferroni")
-    par.add_argument("--n", type=float, help="replicates per test for --replicate")
-    par.add_argument("--d", type=float, help="additive offset for --universal/--replicate")
+    _flag(par, "--m", "m", type=float, help="number of tests (default 1)")
+    _flag(par, "--alpha", "alpha", type=float, help="level for --bfdr/--gw/--bonferroni")
+    _flag(par, "--n", "n", type=float, help="replicates per test for --replicate")
+    _flag(par, "--d", "d", type=float, help="additive offset for --universal/--replicate")
     par.set_defaults(func=cmd_threshold, parser=par)
 
     par = sub.add_parser("risk", help="exact risk of a fixed threshold (default: oracle)")
     _add_setting_flags(par)
-    par.add_argument("--m", type=float, help="number of tests (default 1)")
-    par.add_argument("--c-sq", dest="c_sq", type=float, help="squared threshold (default oracle)")
+    _flag(par, "--m", "setting.m", type=float, help="number of tests (default 1)")
+    _flag(par, "--c-sq", "c_sq", type=float, help="squared threshold (default oracle)")
     par.add_argument("--config", help="JSON config file")
-    par.add_argument("--out", help="write a one-row CSV (plus JSON sidecar) here")
+    _flag(par, "--out", "out", help="write a one-row CSV (plus JSON sidecar) here")
     par.set_defaults(func=cmd_risk, parser=par)
 
     par = sub.add_parser("simulate", help="Monte-Carlo report for one setting and rule")
-    par.add_argument("--preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
+    _flag(par, "--preset", "preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
     _add_setting_flags(par)
-    par.add_argument("--m", type=float, help="number of tests (integer)")
+    _flag(par, "--m", "m", type=float, help="number of tests (integer)")
     _add_rule_flags(par)
-    _add_mc_flags(par, 1000)
-    par.add_argument("--config", help="JSON config file")
-    par.add_argument("--out", help="CSV output path (default: stdout)")
+    _add_run_flags(par, 1000)
     par.set_defaults(func=cmd_simulate, parser=par)
 
     par = sub.add_parser("convergence", help="risk-ratio table along a regime")
-    par.add_argument("--preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
+    _flag(par, "--preset", "preset", choices=PRESET_NAMES, help="named (regime, rule) pair")
     _add_rule_flags(par)
-    par.add_argument("--mode", choices=("exact", "mc"), help="risk engine (default by rule)")
-    par.add_argument("--grid", type=_grid_arg, help="comma-separated m grid, e.g. 1e2,1e4,1e6")
-    _add_mc_flags(par, 400)
-    par.add_argument("--config", help="JSON config file")
-    par.add_argument("--out", help="CSV output path (default: stdout)")
+    _flag(par, "--mode", "mode", choices=("exact", "mc"), help="risk engine (default by rule)")
+    _flag(par, "--grid", "grid", type=_grid_arg, help="comma-separated m grid, e.g. 1e2,1e4,1e6")
+    _add_run_flags(par, 400)
     par.set_defaults(func=cmd_convergence, parser=par)
 
     return parser

@@ -6,6 +6,7 @@ installed `sparsemix` console script, which is skipped where the package
 is not installed into the running interpreter.
 """
 
+import argparse
 import contextlib
 import csv
 import errno
@@ -791,6 +792,131 @@ def test_threshold_where_the_bfdr_is_steep(capsys):
 
 
 # -----------------------------------------------------------------------
+# flags folded into the config object
+
+# The top-level config fields each subcommand reads (threshold has no
+# --config, but its flags name fields all the same).
+_READS = {
+    "threshold": {"setting", "m", "alpha", "n", "d"},
+    "risk": {"setting", "c_sq", "out"},
+    "simulate": {"preset", "overrides", "setting", "rule", "m", "reps", "seed", "out"},
+    "convergence": {"preset", "overrides", "regime", "rule", "mode", "grid", "reps", "seed", "out"},
+}
+
+
+def _value_flags(command):
+    """The subcommand's flags that take a value, --config aside."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [action for action in subparsers.choices[command]._actions
+            if type(action) is argparse._StoreAction and action.dest != "config"]
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_each_value_flag_is_stored_at_its_field_path(command):
+    """A flag's dest is the path of the field it stands for, and --help
+    shows it under that field's name (or its choices)."""
+    rule_fields = {"kind"}.union(*(_parameters(cls)[0] for cls in _BY_KIND.values()))
+    for action in _value_flags(command):
+        head, _, name = action.dest.rpartition(".")
+        assert (head or name) in _READS[command], action.dest
+        assert name in {"setting": cli._SETTING_KEYS, "rule": rule_fields}.get(head, {name}), action.dest
+        assert action.metavar == (None if action.choices else name.upper()), action.dest
+
+
+def _with(config, path, value):
+    """A copy of config with the field at path (a dotted string) set."""
+    config = json.loads(json.dumps(config))
+    *heads, key = path.split(".")
+    obj = config
+    for head in heads:
+        obj = obj.setdefault(head, {})
+    obj[key] = value
+    return config
+
+
+_SIM_BASE = {"setting": {"p": 0.05, "u": 9.0, "m": 100}, "rule": {"kind": "bfdr", "alpha": 0.1},
+             "reps": 2, "out": "o.csv"}
+_CONV_BASE = {"preset": "lemma_universal", "grid": [100.0], "out": "o.csv"}
+_CONV_MC = {**_CONV_BASE, "mode": "mc", "reps": 2}
+
+
+def _setting_cases(command, base):
+    """(command, base, path, field value, flag, flag text, flag value) for each setting flag."""
+    without_u = {**base, "setting": {k: v for k, v in base["setting"].items() if k != "u"}}
+    return [
+        (command, base, "setting.p", 0.1, "--p", "0.2", 0.2),
+        (command, base, "setting.u", 3.0, "--u", "4", 4.0),
+        (command, without_u, "setting.tau_sq", 3.0, "--tau-sq", "4", 4.0),
+        (command, base, "setting.sigma_sq", 1.0, "--sigma-sq", "2", 2.0),
+        (command, base, "setting.delta", 2.0, "--delta", "3", 3.0),
+        (command, base, "setting.delta0", 2.0, "--delta0", "3", 3.0),
+        (command, base, "setting.deltaA", 2.0, "--deltaA", "3", 3.0),
+    ]
+
+
+def _rule_cases(command, base):
+    return [
+        (command, base, "rule.kind", "bfdr", "--rule", "gw", "gw"),
+        (command, base, "rule.alpha", 0.1, "--alpha", "0.2", 0.2),
+        (command, {**base, "rule": {"kind": "fixed"}}, "rule.c_sq", 2.0, "--c-sq", "3", 3.0),
+        (command, {**base, "rule": {"kind": "universal"}}, "rule.d", 1.0, "--d", "2", 2.0),
+        (command, {**base, "rule": {"kind": "replicate"}}, "rule.n", 2.0, "--n", "3", 3.0),
+    ]
+
+
+_FOLD_CASES = [
+    *_setting_cases("risk", {"setting": {"p": 0.1, "u": 3.0}, "out": "o.csv"}),
+    ("risk", {"setting": {"p": 0.1, "u": 3.0}, "out": "o.csv"}, "setting.m", 10.0, "--m", "20", 20.0),
+    ("risk", {"setting": {"p": 0.1, "u": 3.0}, "out": "o.csv"}, "c_sq", 2.0, "--c-sq", "3", 3.0),
+    ("risk", {"setting": {"p": 0.1, "u": 3.0}}, "out", "a.csv", "--out", "b.csv", "b.csv"),
+    ("simulate", {"m": 100, "reps": 2, "out": "o.csv"}, "preset", "bh_fixed_alpha",
+     "--preset", "bfdr_fixed_alpha", "bfdr_fixed_alpha"),
+    *_setting_cases("simulate", _SIM_BASE),
+    ("simulate", _SIM_BASE, "m", 150.0, "--m", "200", 200.0),
+    *_rule_cases("simulate", _SIM_BASE),
+    ("simulate", _SIM_BASE, "reps", 2, "--reps", "3", 3),
+    ("simulate", _SIM_BASE, "seed", 1, "--seed", "2", 2),
+    ("simulate", {k: v for k, v in _SIM_BASE.items() if k != "out"}, "out", "a.csv", "--out", "b.csv", "b.csv"),
+    ("convergence", _CONV_BASE, "preset", "lemma_universal", "--preset", "bfdr_fixed_alpha", "bfdr_fixed_alpha"),
+    *_rule_cases("convergence", {**_CONV_BASE, "preset": "bfdr_fixed_alpha"}),
+    ("convergence", _CONV_BASE, "mode", "mc", "--mode", "exact", "exact"),
+    ("convergence", _CONV_BASE, "grid", [100.0], "--grid", "1e3,1e4", [1e3, 1e4]),
+    ("convergence", _CONV_MC, "reps", 2, "--reps", "3", 3),
+    ("convergence", _CONV_MC, "seed", 1, "--seed", "2", 2),
+    ("convergence", {k: v for k, v in _CONV_BASE.items() if k != "out"}, "out", "a.csv", "--out", "b.csv", "b.csv"),
+]
+
+
+def test_every_value_flag_with_a_field_has_a_fold_case():
+    for command in ("risk", "simulate", "convergence"):
+        flags = {action.option_strings[0] for action in _value_flags(command)}
+        assert flags == {case[4] for case in _FOLD_CASES if case[0] == command}, command
+
+
+@pytest.mark.parametrize("command, base, path, field, flag, text, value", _FOLD_CASES,
+                         ids=[f"{case[0]}{case[4]}" for case in _FOLD_CASES])
+def test_a_given_flag_wins_over_its_field(tmp_path, monkeypatch, command, base, path, field, flag, text, value):
+    """With the field holding one value and the flag another, the run echoes
+    what a config holding the flag's value gives, not what the field alone
+    gives."""
+
+    def echo(name, config, *flags):
+        directory = tmp_path / name
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        Path("in.conf").write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, *flags, "--config", "in.conf"]) == 0
+        [side] = directory.glob("*.json")
+        return json.loads(side.read_text())["config"]
+
+    folded = echo("folded", _with(base, path, field), flag, text)
+    assert folded == echo("flag_value", _with(base, path, value))
+    assert folded != echo("field_value", _with(base, path, field))
+
+
+# -----------------------------------------------------------------------
 # one parser per process
 
 
@@ -959,6 +1085,11 @@ def test_console_script_end_to_end(tmp_path, capsys):
         # The size check reads the grid before any point is built.
         (["convergence", "--preset", "bh_fixed_alpha", "--grid", "0.5,1e15", "--reps", "2"], None,
          "grid: at most 1e+08 tests per point allowed, got 1e+15"),
+        # A count beyond the float range, which "%g" cannot format.
+        (["simulate", "--preset", "bh_fixed_alpha", "--m", "100", "--reps", "1" + "0" * 400], None,
+         "reps: at most 1e+06 replicates allowed, got an integer of 401 digits"),
+        (["simulate"], {"preset": "bh_fixed_alpha", "m": 100, "reps": 10**400},
+         "reps: at most 1e+06 replicates allowed, got an integer of 401 digits"),
     ],
 )
 def test_oversized_requests_are_config_errors(tmp_path, capsys, argv, config, message):

